@@ -23,8 +23,10 @@ with status 2.  Any option default can be overridden with a
 from __future__ import annotations
 
 import argparse
+import csv
 import glob
 import hashlib
+import io
 import json
 import os
 import sys
@@ -273,11 +275,14 @@ def _cmd_cluster(args, out: _Outputs) -> int:
     )
     result = cluster.hdbscan(matrix, params)
 
-    lines = [f"# config_fingerprint={fp}", "dashboard_id,label,stability"]
+    buf = io.StringIO()
+    buf.write(f"# config_fingerprint={fp}\n")
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(("dashboard_id", "label", "stability"))
     for dash_id, label in zip(ids, result.labels):
         stability = repr(result.stabilities[int(label)]) if label != cluster.NOISE else ""
-        lines.append(f"{dash_id},{int(label)},{stability}")
-    out.write_text(Path(args.out) / "labels.csv", "\n".join(lines) + "\n")
+        writer.writerow((dash_id, int(label), stability))
+    out.write_text(Path(args.out) / "labels.csv", buf.getvalue())
 
     tree = cluster.export_dendrogram(result)
     tree["_fingerprint"] = fp

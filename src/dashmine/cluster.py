@@ -6,7 +6,8 @@ The pipeline follows the classic hierarchical density-based scheme:
    nearest neighbor (the point itself counts as the first),
 2. mutual reachability d_mr(a, b) = max(core(a), core(b), d(a, b)),
 3. minimum spanning tree of the complete mutual-reachability graph
-   (Prim's algorithm over row blocks, no spatial index),
+   (Prim's algorithm; each step measures the newest tree vertex against
+   the vertices still outside the tree only, no spatial index),
 4. single-linkage hierarchy from the MST edges in ascending weight order,
 5. condensation of the hierarchy at ``min_cluster_size``,
 6. excess-of-mass cluster selection by stability,
@@ -14,7 +15,9 @@ The pipeline follows the classic hierarchical density-based scheme:
 
 Distances are exact O(n^2); determinism everywhere via ascending-index
 tie-breaking.  A spatial index would speed up step 1-3 on large corpora
-but is deliberately left out.
+but is deliberately left out.  Every distance, in clustering and in
+silhouette, comes from the one kernel :func:`_row_distances`, so skipping
+distances that are not needed never changes the bits of those that are.
 """
 
 from __future__ import annotations
@@ -84,8 +87,9 @@ def _as_matrix(matrix: Any) -> np.ndarray:
     return X
 
 
-def _row_distances(X: np.ndarray, i: int) -> np.ndarray:
-    diff = X - X[i]
+def _row_distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Euclidean distances from row vector ``x`` to every row of ``X``."""
+    diff = X - x
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
@@ -93,35 +97,60 @@ def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
     n = X.shape[0]
     core = np.empty(n)
     for i in range(n):
-        d = _row_distances(X, i)
+        d = _row_distances(X, X[i])
         core[i] = np.partition(d, min_samples - 1)[min_samples - 1]
     return core
+
+
+# Share of dead (already in-tree) entries in Prim's out-of-tree arrays at
+# which they are compacted away.
+_COMPACT_SHARE = 1 / 8
 
 
 def _mutual_reachability_mst(X: np.ndarray, core: np.ndarray) -> np.ndarray:
     """Prim's MST over the implicit mutual-reachability graph.
 
-    Returns (n-1, 3) rows (a, b, weight).  The next vertex is always the
-    lowest-index minimum, so the tree is deterministic under ties.
+    Returns (n-1, 3) rows (a, b, weight) in the order the vertices b join
+    the tree, which starts at vertex 0.  Ties are broken deterministically:
+    the next vertex is the lowest-index one among those of minimum
+    candidate weight, and its edge runs to the earliest-joined tree vertex
+    that offered that weight, because a candidate edge is only replaced
+    by a strictly lighter one.
+
+    Only vertices still outside the tree are measured against each new
+    tree vertex.  They are kept in ascending-index arrays (ids, rows,
+    core distances, best weight and its source); a vertex that joins is
+    marked dead and the arrays are compacted once dead entries exceed
+    ``_COMPACT_SHARE`` of them.  Ascending order keeps ``np.argmin``'s
+    first-minimum rule equal to the lowest-index rule.
     """
     n = X.shape[0]
-    in_tree = np.zeros(n, dtype=bool)
-    best_w = np.full(n, np.inf)
-    best_src = np.zeros(n, dtype=np.intp)
     edges = np.empty((n - 1, 3))
+    ids = np.arange(1, n)
+    rows = X[1:]
+    core_out = core[1:]
+    best_w = np.full(n - 1, np.inf)
+    best_src = np.zeros(n - 1, dtype=np.intp)
+    alive = np.ones(n - 1, dtype=bool)
+    dead = 0
     current = 0
-    in_tree[0] = True
     for k in range(n - 1):
-        d = _row_distances(X, current)
-        reach = np.maximum(np.maximum(core, core[current]), d)
-        closer = ~in_tree & (reach < best_w)
+        d = _row_distances(rows, X[current])
+        reach = np.maximum(np.maximum(core_out, core[current]), d)
+        closer = alive & (reach < best_w)
         best_w[closer] = reach[closer]
         best_src[closer] = current
-        candidate = np.where(in_tree, np.inf, best_w)
-        nxt = int(np.argmin(candidate))
-        edges[k] = (best_src[nxt], nxt, best_w[nxt])
-        in_tree[nxt] = True
-        current = nxt
+        j = int(np.argmin(best_w))
+        current = int(ids[j])
+        edges[k] = (best_src[j], current, best_w[j])
+        best_w[j] = np.inf
+        alive[j] = False
+        dead += 1
+        if dead > _COMPACT_SHARE * ids.shape[0]:
+            ids, rows, core_out = ids[alive], rows[alive], core_out[alive]
+            best_w, best_src = best_w[alive], best_src[alive]
+            alive = np.ones(ids.shape[0], dtype=bool)
+            dead = 0
     return edges
 
 
@@ -321,12 +350,21 @@ def hdbscan(matrix: Any, params: ClusterParams = ClusterParams()) -> ClusterResu
     )
 
 
+# Rows of one cluster whose distances silhouette computes and reduces
+# together.
+_SILHOUETTE_TILE = 16
+
+
 def silhouette(matrix: Any, labels: Sequence[int]) -> SilhouetteScores:
     """Mean silhouette per cluster and overall, noise rows excluded.
 
     s(i) = (b - a) / max(a, b) with a = mean intra-cluster distance and
     b = smallest mean distance to another cluster; singleton clusters
     score 0, as does the degenerate all-zero case.
+
+    Distances are taken to clustered rows only, gathered in label order
+    so that each cluster is one contiguous column span; a cluster's rows
+    are scored in tiles, with one sum or mean per cluster per tile.
     """
     X = _as_matrix(matrix)
     labels = np.asarray(labels, dtype=int)
@@ -337,22 +375,26 @@ def silhouette(matrix: Any, labels: Sequence[int]) -> SilhouetteScores:
         raise FewerThanTwoClusters("silhouette needs at least two non-noise clusters")
 
     members = {c: np.flatnonzero(labels == c) for c in cluster_labels}
+    pooled = np.concatenate([members[c] for c in cluster_labels])
+    Xp = X[pooled]
+    bounds = np.cumsum([0] + [members[c].shape[0] for c in cluster_labels]).tolist()
+    spans = list(zip(bounds[:-1], bounds[1:]))
     scores = np.zeros(X.shape[0])
-    for c in cluster_labels:
-        idx = members[c]
-        own_size = idx.shape[0]
-        for i in idx:
-            d = _row_distances(X, int(i))
-            if own_size == 1:
-                scores[i] = 0.0
-                continue
-            a = (d[idx].sum()) / (own_size - 1)  # exclude self (distance 0)
-            b = min(d[members[o]].mean() for o in cluster_labels if o != c)
-            denom = max(a, b)
-            scores[i] = (b - a) / denom if denom > 0 else 0.0
+    for own, (lo, hi) in enumerate(spans):
+        own_size = hi - lo
+        if own_size == 1:
+            continue  # singleton clusters score 0
+        others = [span for o, span in enumerate(spans) if o != own]
+        for start in range(lo, hi, _SILHOUETTE_TILE):
+            stop = min(start + _SILHOUETTE_TILE, hi)
+            D = np.stack([_row_distances(Xp, x) for x in Xp[start:stop]])
+            a_tile = D[:, lo:hi].sum(axis=1) / (own_size - 1)  # exclude self (distance 0)
+            b_tile = np.min([D[:, o_lo:o_hi].mean(axis=1) for o_lo, o_hi in others], axis=0)
+            for i, a, b in zip(pooled[start:stop], a_tile, b_tile):
+                denom = max(a, b)
+                scores[i] = (b - a) / denom if denom > 0 else 0.0
 
     per_cluster = {c: float(scores[members[c]].mean()) for c in cluster_labels}
-    pooled = np.concatenate([members[c] for c in cluster_labels])
     return SilhouetteScores(per_cluster=per_cluster, overall=float(scores[pooled].mean()))
 
 

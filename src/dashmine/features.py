@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -280,9 +281,12 @@ def matrix_to_csv(
 def matrix_from_csv(
     text: str, scaled: bool = False
 ) -> tuple[FeatureManifest, list[FeatureVector]]:
-    """Parse a feature matrix CSV (leading ``#`` comment lines allowed)."""
-    lines = [line for line in text.splitlines() if not line.startswith("#")]
-    reader = csv.reader(lines)
+    """Parse a feature matrix CSV (leading ``#`` comment lines allowed).
+
+    Only the lines before the header are comments; a later row whose
+    dashboard id starts with ``#`` is data.
+    """
+    reader = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), text.splitlines()))
     try:
         header = next(reader)
     except StopIteration:

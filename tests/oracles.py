@@ -4,7 +4,9 @@ Each oracle deliberately takes a different route than the implementation
 it verifies: pixel-grid rasterization instead of interval arithmetic,
 exhaustive subset enumeration instead of Bron-Kerbosch, Floyd-Warshall
 instead of BFS, plain loops instead of vectorized silhouette, and a
-pure-Python Prim scan for MST weights.
+pure-Python Prim scan for MST weights.  The golden copies at the end are
+the exception: frozen earlier versions of two clusterer loops, kept for
+bit-for-bit comparison.
 """
 
 from __future__ import annotations
@@ -176,3 +178,65 @@ def brute_silhouette(points, labels) -> dict[int, float] | None:
             denom = max(a, b)
             scores[i] = (b - a) / denom if denom > 0 else 0.0
     return scores
+
+
+# --- golden copies: the clusterer's original per-row loops --------------------
+#
+# Frozen copies of ``cluster._mutual_reachability_mst`` and
+# ``cluster.silhouette`` as they were before Prim was restricted to the
+# out-of-tree vertices and silhouette was reduced in tiles.  They are not
+# independent oracles: they use the same distance kernel on purpose, so
+# the rewrites can be held to bit-for-bit equality with them.
+
+
+def _golden_row_distances(X: np.ndarray, i: int) -> np.ndarray:
+    diff = X - X[i]
+    return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def golden_mutual_reachability_mst(X: np.ndarray, core: np.ndarray) -> np.ndarray:
+    """Prim over every vertex each step, in-tree ones masked afterwards."""
+    n = X.shape[0]
+    in_tree = np.zeros(n, dtype=bool)
+    best_w = np.full(n, np.inf)
+    best_src = np.zeros(n, dtype=np.intp)
+    edges = np.empty((n - 1, 3))
+    current = 0
+    in_tree[0] = True
+    for k in range(n - 1):
+        d = _golden_row_distances(X, current)
+        reach = np.maximum(np.maximum(core, core[current]), d)
+        closer = ~in_tree & (reach < best_w)
+        best_w[closer] = reach[closer]
+        best_src[closer] = current
+        candidate = np.where(in_tree, np.inf, best_w)
+        nxt = int(np.argmin(candidate))
+        edges[k] = (best_src[nxt], nxt, best_w[nxt])
+        in_tree[nxt] = True
+        current = nxt
+    return edges
+
+
+def golden_silhouette(X: np.ndarray, labels) -> tuple[dict[int, float], float]:
+    """Per-point silhouette over full distance rows; returns
+    (per-cluster means, overall mean)."""
+    labels = np.asarray(labels, dtype=int)
+    cluster_labels = sorted(int(c) for c in np.unique(labels) if c != -1)
+    members = {c: np.flatnonzero(labels == c) for c in cluster_labels}
+    scores = np.zeros(X.shape[0])
+    for c in cluster_labels:
+        idx = members[c]
+        own_size = idx.shape[0]
+        for i in idx:
+            d = _golden_row_distances(X, int(i))
+            if own_size == 1:
+                scores[i] = 0.0
+                continue
+            a = (d[idx].sum()) / (own_size - 1)  # exclude self (distance 0)
+            b = min(d[members[o]].mean() for o in cluster_labels if o != c)
+            denom = max(a, b)
+            scores[i] = (b - a) / denom if denom > 0 else 0.0
+
+    per_cluster = {c: float(scores[members[c]].mean()) for c in cluster_labels}
+    pooled = np.concatenate([members[c] for c in cluster_labels])
+    return per_cluster, float(scores[pooled].mean())

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+import csv
 import json
 from pathlib import Path
 
 from dashmine.cli import main
+from dashmine.features import FeatureVector, default_manifest, matrix_to_csv
 
 from conftest import FIXTURES
 
@@ -208,6 +210,32 @@ def test_cluster_sweep(tmp_path):
     )
     doc = json.loads((out / "sweep.json").read_text())
     assert [row["min_cluster_size"] for row in doc["settings"]] == [2, 3]
+
+
+
+def test_labels_csv_round_trips_ids_with_commas(tmp_path):
+    manifest = default_manifest()
+    width = len(manifest.names)
+    ids = ["d0", "with,comma", 'say "hi"', "d3", "d4,x", "d5"]
+    centers = [0.0, 0.0, 0.0, 50.0, 50.0, 50.0]
+    vectors = [
+        FeatureVector(d, tuple(c + 0.1 * k + j for j in range(width)), scaled=True)
+        for k, (d, c) in enumerate(zip(ids, centers))
+    ]
+    matrix = tmp_path / "features_scaled.csv"
+    matrix.write_text(matrix_to_csv(vectors, manifest))
+    args = ["cluster", "--input", str(matrix), "--min-cluster-size", "2", "--out", str(tmp_path)]
+    assert main(args) == 0
+    lines = (tmp_path / "labels.csv").read_text().splitlines()
+    assert lines[0].startswith("# config_fingerprint=")
+    rows = list(csv.reader(lines[1:]))
+    assert rows[0] == ["dashboard_id", "label", "stability"]
+    assert [r[0] for r in rows[1:]] == ids
+    assert all(len(r) == 3 for r in rows[1:])
+    # ids that need no quoting are written as before
+    for line, row in zip(lines[2:], rows[1:]):
+        if "," not in row[0] and '"' not in row[0]:
+            assert line == ",".join(row)
 
 
 def test_xml_inputs_give_same_graphs_as_json(tmp_path):

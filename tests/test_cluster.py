@@ -17,7 +17,13 @@ from dashmine.cluster import (
 from dashmine.errors import FewerThanTwoClusters, NonFiniteInput, TooFewRows
 
 from conftest import blob_matrix, canonical_partition
-from oracles import brute_silhouette, mutual_reachability_matrix, prim_mst_weights
+from oracles import (
+    brute_silhouette,
+    golden_mutual_reachability_mst,
+    golden_silhouette,
+    mutual_reachability_matrix,
+    prim_mst_weights,
+)
 
 CENTERS_3 = [[0.0, 0.0], [60.0, 0.0], [0.0, 60.0]]
 
@@ -144,6 +150,30 @@ def test_mst_matches_brute_force_prim():
         assert math.fsum(mst[:, 2]) == math.fsum(expected)
 
 
+def _tie_heavy_matrix(rng, n: int, width: int = 19) -> np.ndarray:
+    """Rounded integer draws with whole rows repeated: many equal
+    distances and many zero distances."""
+    X = rng.integers(-2, 3, size=(n, width)).astype(float)
+    repeats = rng.integers(0, n, size=n // 3)
+    X[rng.integers(0, n, size=repeats.shape[0])] = X[repeats]
+    return X
+
+
+def test_mst_is_bit_identical_to_golden_prim():
+    rng = np.random.default_rng(17)
+    # Every size from 2 to 40 crosses each early compaction point of the
+    # out-of-tree arrays; the larger sizes run many compactions.
+    matrices = [_tie_heavy_matrix(rng, n) for n in list(range(2, 41)) + [63, 64, 65, 257, 600]]
+    matrices.append(np.zeros((50, 19)))  # every weight ties
+    for X in matrices:
+        n = X.shape[0]
+        for min_samples in {1, min(3, n), min(10, n)}:
+            core = _core_distances(X, min_samples)
+            mst = _mutual_reachability_mst(X, core)
+            expected = golden_mutual_reachability_mst(X, core)
+            assert np.array_equal(mst, expected), (n, min_samples)
+
+
 def test_stability_dominates_selected_descendants():
     for seed in (10, 11, 12):
         X, _ = blob_matrix(seed, CENTERS_3, per_blob=80, background=30)
@@ -216,6 +246,41 @@ def test_silhouette_matches_brute_force():
         for c, values in by_cluster.items():
             assert abs(scores.per_cluster[c] - sum(values) / len(values)) < 1e-9
         assert abs(scores.overall - sum(expected.values()) / len(expected)) < 1e-9
+
+
+def _assert_silhouette_is_golden(X, labels):
+    scores = silhouette(X, labels)
+    per_cluster, overall = golden_silhouette(np.asarray(X, dtype=float), labels)
+    assert scores.per_cluster == per_cluster
+    assert scores.overall == overall
+
+
+def test_silhouette_is_bit_identical_to_golden_on_tiny_inputs():
+    _assert_silhouette_is_golden(np.array([[0.0], [3.0]]), [0, 1])
+    _assert_silhouette_is_golden(np.array([[0.0], [1.0], [3.0]]), [0, 0, 1])
+    _assert_silhouette_is_golden(np.array([[0.0], [1.0], [3.0]]), [1, 0, 1])
+    _assert_silhouette_is_golden(np.array([[0.0], [1.0], [3.0]]), [0, -1, 1])
+
+
+def test_silhouette_is_bit_identical_to_golden_on_tie_heavy_matrices():
+    rng = np.random.default_rng(19)
+    # Cluster sizes straddle the 16-row tile: 1, 15, 16, 17, 33.
+    for sizes in ([1, 1], [1, 15, 16], [16, 17, 1, 33], [40, 2, 1, 1, 3]):
+        labels = np.repeat(np.arange(len(sizes)), sizes)
+        for noise in (0, 5, 3 * sum(sizes)):  # none, a little, noise-heavy
+            full = np.concatenate([labels, np.full(noise, -1)])
+            full = full[rng.permutation(full.shape[0])]
+            X = _tie_heavy_matrix(rng, full.shape[0])
+            _assert_silhouette_is_golden(X, full)
+
+
+def test_silhouette_is_bit_identical_to_golden_on_clusterer_output():
+    rng = np.random.default_rng(23)
+    for n in (300, 700):
+        X = _tie_heavy_matrix(rng, n)
+        result = hdbscan(X, ClusterParams(min_cluster_size=5))
+        assert result.n_clusters >= 2
+        _assert_silhouette_is_golden(X, result.labels)
 
 
 def test_equidistant_point_scores_zero():

@@ -208,3 +208,16 @@ def test_csv_round_trip():
 def test_manifest_json_round_trip():
     doc = MANIFEST.to_dict()
     assert FeatureManifest.from_dict(doc) == MANIFEST
+
+
+def test_csv_round_trip_keeps_ids_that_start_with_hash():
+    ids = ["plain", "#hash", "# spaced"]
+    width = len(MANIFEST.names)
+    vectors = [
+        FeatureVector(dashboard_id=d, values=tuple(float(k + j) for j in range(width)))
+        for k, d in enumerate(ids)
+    ]
+    text = matrix_to_csv(vectors, MANIFEST, comment="config_fingerprint=abc123")
+    _, vectors_back = matrix_from_csv(text)
+    assert [v.dashboard_id for v in vectors_back] == ids
+    assert [v.values for v in vectors_back] == [v.values for v in vectors]
