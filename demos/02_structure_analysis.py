@@ -6,21 +6,19 @@ The adjacency graph summarizes layout: maximal cliques are groups of
 mutually-near blocks, and their type patterns ("chart|chart|filter")
 recur across dashboards.  The interaction graph yields degree
 statistics.  Shortest paths measure how many spatial hops separate
-blocks.
+blocks.  ``analyze_graphs`` gathers all of these into one structure
+record per dashboard; the feature extractor reads the same record.
 """
 
 import json
 from pathlib import Path
 
 from dashmine import (
-    adjacency_stats,
     analyze_graphs,
     average_shortest_path,
     build_graphs,
     clique_pattern,
     dashboard_from_dict,
-    interaction_degree_stats,
-    maximal_cliques,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -32,27 +30,23 @@ def load(name):
 
 for name in ("fig_a", "fig_b", "fig_c"):
     graphs = load(name)
-    node_ids = [b.id for b in graphs.nodes]
-    pairs = [(e.source, e.target) for e in graphs.adjacency_edges]
+    doc = analyze_graphs(graphs)
+    adj, inter = doc["adjacency"], doc["interaction"]
 
     print(f"=== {name} ===")
-    cliques = maximal_cliques(node_ids, pairs)
     blocks = graphs.nodes_by_id()
-    for clique in cliques:
-        print(f"  clique {clique}  pattern={clique_pattern(clique, blocks)}")
-
-    adj = adjacency_stats(graphs)
-    inter = interaction_degree_stats(graphs)
-    print(f"  mean adjacency degree: {adj.mean_degree:.2f}")
-    print(f"  mean shortest path:    {adj.mean_shortest_path:.3f}")
-    print(f"  mean in/out degree:    {inter.mean_in_degree:.2f}")
+    for clique in doc["cliques"]:
+        print(f"  clique {tuple(clique)}  pattern={clique_pattern(clique, blocks)}")
+    print(f"  mean adjacency degree: {adj['mean_degree']:.2f}")
+    print(f"  mean shortest path:    {adj['mean_shortest_path']:.3f}")
+    print(f"  mean in/out degree:    {inter['mean_in_degree']:.2f}")
     print()
 
 # A hand-checkable case: a path graph A-B-C averages (1+1+1+1+2+2)/6 = 4/3.
 print("path graph A-B-C mean distance:",
       average_shortest_path(["A", "B", "C"], [("A", "B"), ("B", "C")]))
 
-# The full analysis document bundles all of the above per dashboard.
+# The analysis document also counts each pattern per dashboard.
 doc = analyze_graphs(load("fig_c"))
 print("\nfig_c analysis document keys:", sorted(doc))
 print("fig_c clique patterns:", doc["clique_patterns"])

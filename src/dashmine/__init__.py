@@ -9,12 +9,9 @@ summary reports and lint checks, plus a file-based CLI pipeline.
 """
 
 from .analysis import (
-    GraphStats,
-    adjacency_stats,
     analyze_graphs,
     average_shortest_path,
     clique_pattern,
-    interaction_degree_stats,
     maximal_cliques,
 )
 from .cluster import (

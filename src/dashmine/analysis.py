@@ -1,37 +1,17 @@
 """Structural analysis of dashboard graphs.
 
 Maximal cliques (recurring layout groupings), unweighted shortest
-paths, and degree statistics.  All functions are pure and invariant
-under node relabeling; outputs are canonically sorted so results do not
-depend on input order.
+paths, and degree statistics, gathered per dashboard by
+:func:`analyze_graphs`.  All functions are pure and invariant under node
+relabeling; outputs are canonically sorted so results do not depend on
+input order.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 from .model import Block, DashboardGraphs
-
-
-@dataclass(frozen=True)
-class GraphStats:
-    """Summary statistics of one graph.
-
-    ``mean_in_degree``/``mean_out_degree`` apply to the directed
-    interaction graph; path and clique fields to the undirected
-    adjacency graph.  Degree means divide by the total node count,
-    isolated nodes included.
-    """
-
-    n_nodes: int
-    n_edges: int
-    mean_degree: float
-    mean_in_degree: float | None = None
-    mean_out_degree: float | None = None
-    mean_shortest_path: float | None = None
-    n_maximal_cliques: int | None = None
-    mean_clique_size: float | None = None
 
 
 def _adjacency_sets(
@@ -134,50 +114,23 @@ def average_shortest_path(node_ids: Sequence[str], edges: Iterable[tuple[str, st
     return total / count if count else 0.0
 
 
-def adjacency_stats(graphs: DashboardGraphs) -> GraphStats:
-    """Stats fragment for the undirected adjacency graph, cliques included."""
+def analyze_graphs(graphs: DashboardGraphs) -> dict[str, Any]:
+    """Per-dashboard structure record: degrees, paths, cliques, patterns.
+
+    This is the one definition of the structural quantities; the
+    ``analyze`` stage writes it and the feature extractor reads it.
+    Degree means divide by the total node count, isolated nodes
+    included, so the interaction graph's in- and out-degree means both
+    equal edges/nodes.  Path and clique fields describe the undirected
+    adjacency graph.  Clique counts are reported both with and without
+    singleton cliques (isolated blocks), since layout summaries usually
+    care about groups of two or more.
+    """
     node_ids = [b.id for b in graphs.nodes]
     pairs = [(e.source, e.target) for e in graphs.adjacency_edges]
     n = len(node_ids)
     m = len(pairs)
-    cliques = maximal_cliques(node_ids, pairs)
-    return GraphStats(
-        n_nodes=n,
-        n_edges=m,
-        mean_degree=2 * m / n if n else 0.0,
-        mean_shortest_path=average_shortest_path(node_ids, pairs),
-        n_maximal_cliques=len(cliques),
-        mean_clique_size=sum(len(c) for c in cliques) / len(cliques) if cliques else 0.0,
-    )
-
-
-def interaction_degree_stats(graphs: DashboardGraphs) -> GraphStats:
-    """Stats fragment for the directed interaction graph.
-
-    In- and out-degree means are taken over all nodes, so both equal
-    edges/nodes; mean total degree is their sum.
-    """
-    n = len(graphs.nodes)
-    m = len(graphs.interaction_edges)
-    per_node = m / n if n else 0.0
-    return GraphStats(
-        n_nodes=n,
-        n_edges=m,
-        mean_degree=2 * m / n if n else 0.0,
-        mean_in_degree=per_node,
-        mean_out_degree=per_node,
-    )
-
-
-def analyze_graphs(graphs: DashboardGraphs) -> dict[str, Any]:
-    """Per-dashboard analysis document: stats, cliques, and patterns.
-
-    Clique counts are reported both with and without singleton cliques
-    (isolated blocks), since layout summaries usually care about groups
-    of two or more.
-    """
-    node_ids = [b.id for b in graphs.nodes]
-    pairs = [(e.source, e.target) for e in graphs.adjacency_edges]
+    k = len(graphs.interaction_edges)
     cliques = maximal_cliques(node_ids, pairs)
     nontrivial = [c for c in cliques if len(c) >= 2]
     blocks = graphs.nodes_by_id()
@@ -185,28 +138,27 @@ def analyze_graphs(graphs: DashboardGraphs) -> dict[str, Any]:
     for clique in cliques:
         pattern = clique_pattern(clique, blocks)
         patterns[pattern] = patterns.get(pattern, 0) + 1
-    adj = adjacency_stats(graphs)
-    inter = interaction_degree_stats(graphs)
+    per_node = k / n if n else 0.0
     return {
         "dashboard_id": graphs.dashboard_id,
         "adjacency": {
-            "n_nodes": adj.n_nodes,
-            "n_edges": adj.n_edges,
-            "mean_degree": adj.mean_degree,
-            "mean_shortest_path": adj.mean_shortest_path,
-            "n_maximal_cliques": adj.n_maximal_cliques,
+            "n_nodes": n,
+            "n_edges": m,
+            "mean_degree": 2 * m / n if n else 0.0,
+            "mean_shortest_path": average_shortest_path(node_ids, pairs),
+            "n_maximal_cliques": len(cliques),
             "n_maximal_cliques_min2": len(nontrivial),
-            "mean_clique_size": adj.mean_clique_size,
+            "mean_clique_size": sum(len(c) for c in cliques) / len(cliques) if cliques else 0.0,
             "mean_clique_size_min2": (
                 sum(len(c) for c in nontrivial) / len(nontrivial) if nontrivial else 0.0
             ),
         },
         "interaction": {
-            "n_nodes": inter.n_nodes,
-            "n_edges": inter.n_edges,
-            "mean_degree": inter.mean_degree,
-            "mean_in_degree": inter.mean_in_degree,
-            "mean_out_degree": inter.mean_out_degree,
+            "n_nodes": n,
+            "n_edges": k,
+            "mean_degree": 2 * k / n if n else 0.0,
+            "mean_in_degree": per_node,
+            "mean_out_degree": per_node,
         },
         "cliques": [list(c) for c in cliques],
         "clique_patterns": dict(sorted(patterns.items())),

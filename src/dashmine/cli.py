@@ -12,12 +12,16 @@ Stages hand off through files, so each is independently re-runnable:
     report     graph files             -> summary.json (+ csv tables)
     lint       graph files             -> findings, newline-delimited JSON
 
-Every artifact embeds the fingerprint of the semantic configuration that
-produced it (execution knobs such as ``--jobs`` are excluded), so a
-pipeline rerun with the same inputs is byte-identical.  Failures print a
-machine-readable JSON error on stderr, remove partial outputs and exit
-with status 2.  Any option default can be overridden with a
-``DASHMINE_<OPTION>`` environment variable (e.g. ``DASHMINE_TOLERANCE``).
+Every stage runs serially in one process.  Every artifact embeds the
+fingerprint of the semantic configuration that produced it, so a
+pipeline rerun with the same inputs is byte-identical.  Dashboard ids
+name per-dashboard files, so every stage that reads dashboards or graph
+files rejects ids that are repeated or not safe as file names.
+Failures print a machine-readable JSON error on stderr, remove partial
+outputs and exit with status 2.  The defaults of
+``--out``, ``--format``, ``--min-charts``, ``--tolerance`` and
+``--min-cluster-size`` can be overridden with a ``DASHMINE_<OPTION>``
+environment variable (e.g. ``DASHMINE_TOLERANCE``).
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ import io
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
@@ -91,21 +94,28 @@ def _expand_inputs(patterns: Sequence[str], suffixes: tuple[str, ...]) -> list[P
     return sorted(set(paths))
 
 
-def _parallel_map(fn: Callable, items: Sequence, jobs: int) -> list:
-    if jobs <= 1 or len(items) <= 1:
-        return [fn(item) for item in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 def _load_graph_docs(patterns: Sequence[str]) -> list[model.DashboardGraphs]:
     paths = _expand_inputs(patterns, suffixes=(".graph.json",))
     graph_paths = [p for p in paths if p.name.endswith(".graph.json")]
     if not graph_paths:
         raise FileNotFoundError("no *.graph.json inputs found")
     docs = [model.graphs_from_dict(json.loads(p.read_text())) for p in graph_paths]
+    _check_ids([g.dashboard_id for g in docs])
     docs.sort(key=lambda g: g.dashboard_id)
     return docs
+
+
+def _check_ids(ids: Sequence[str]) -> None:
+    """Dashboard ids name per-dashboard files (``<id>.graph.json``,
+    ``<id>.analysis.json``), so they must be unique and must not reach
+    outside the output directory."""
+    seen: set[str] = set()
+    for dash_id in ids:
+        if dash_id in seen:
+            raise SchemaViolation(f"duplicate dashboard id across corpus: {dash_id}")
+        if dash_id in ("", ".", "..") or "/" in dash_id or "\\" in dash_id:
+            raise SchemaViolation(f"dashboard id is not safe as a file name: {dash_id!r}")
+        seen.add(dash_id)
 
 
 # --- stage implementations --------------------------------------------------
@@ -122,7 +132,8 @@ def _cmd_parse(args, out: _Outputs) -> int:
     )
     paths = _expand_inputs(args.input, suffixes=(".xml", ".json"))
 
-    def parse_one(path: Path) -> list[model.Dashboard]:
+    dashboards: list[model.Dashboard] = []
+    for path in paths:
         fmt = args.format
         if fmt == "auto":
             fmt = "json" if path.suffix == ".json" else "xml"
@@ -133,15 +144,8 @@ def _cmd_parse(args, out: _Outputs) -> int:
                 raise SchemaViolation(
                     "; ".join(violations), path=f"{path.name}:{dashboard.id}"
                 )
-        return list(workbook.dashboards)
-
-    batches = _parallel_map(parse_one, paths, args.jobs)
-    dashboards = [d for batch in batches for d in batch]
-    seen: set[str] = set()
-    for d in dashboards:
-        if d.id in seen:
-            raise SchemaViolation(f"duplicate dashboard id across corpus: {d.id}")
-        seen.add(d.id)
+        dashboards.extend(workbook.dashboards)
+    _check_ids([d.id for d in dashboards])
     dashboards = ingest.filter_corpus(dashboards, min_charts=args.min_charts)
 
     lines = []
@@ -165,17 +169,12 @@ def _cmd_graph(args, out: _Outputs) -> int:
         for line in source.read_text().splitlines()
         if line.strip()
     ]
-
-    def build(d: model.Dashboard) -> tuple[str, dict]:
-        graphs = geometry.build_graphs(d, tol)
-        doc = model.graphs_to_dict(graphs)
+    _check_ids([d.id for d in dashboards])
+    for d in dashboards:
+        doc = model.graphs_to_dict(geometry.build_graphs(d, tol))
         doc["_fingerprint"] = fp
-        return d.id, doc
-
-    results = _parallel_map(build, dashboards, args.jobs)
-    for dash_id, doc in sorted(results):
-        out.write_json(Path(args.out) / f"{dash_id}.graph.json", doc)
-    print(f"built graphs for {len(results)} dashboard(s)")
+        out.write_json(Path(args.out) / f"{d.id}.graph.json", doc)
+    print(f"built graphs for {len(dashboards)} dashboard(s)")
     return EXIT_OK
 
 
@@ -183,15 +182,11 @@ def _cmd_analyze(args, out: _Outputs) -> int:
     fp = _fingerprint({"stage": "analyze"})
     docs = _load_graph_docs(args.input)
 
-    def run(graphs: model.DashboardGraphs) -> tuple[str, dict]:
+    for graphs in docs:
         doc = analysis.analyze_graphs(graphs)
         doc["_fingerprint"] = fp
-        return graphs.dashboard_id, doc
-
-    results = _parallel_map(run, docs, args.jobs)
-    for dash_id, doc in sorted(results):
-        out.write_json(Path(args.out) / f"{dash_id}.analysis.json", doc)
-    print(f"analyzed {len(results)} dashboard(s)")
+        out.write_json(Path(args.out) / f"{graphs.dashboard_id}.analysis.json", doc)
+    print(f"analyzed {len(docs)} dashboard(s)")
     return EXIT_OK
 
 
@@ -207,8 +202,7 @@ def _cmd_features(args, out: _Outputs) -> int:
         {"stage": "features", "manifest": list(manifest.names), "version": manifest.version}
     )
     docs = _load_graph_docs(args.input)
-    vectors = _parallel_map(lambda g: features.extract_features(g, manifest), docs, args.jobs)
-    vectors.sort(key=lambda v: v.dashboard_id)
+    vectors = [features.extract_features(g, manifest) for g in docs]
     csv_text = features.matrix_to_csv(vectors, manifest, comment=f"config_fingerprint={fp}")
     out.write_text(Path(args.out) / "features.csv", csv_text)
     print(f"extracted {len(vectors)} feature vector(s) x {len(manifest.names)} column(s)")
@@ -357,8 +351,8 @@ def _add_common(sub: argparse.ArgumentParser, jobs: bool = True) -> None:
         sub.add_argument(
             "--jobs",
             type=int,
-            default=_env_default("JOBS", os.cpu_count() or 1, int),
-            help="parallel workers over dashboards (results are merged deterministically)",
+            default=1,
+            help="accepted for compatibility; has no effect, every stage runs serially",
         )
 
 

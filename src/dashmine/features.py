@@ -1,11 +1,12 @@
 """Per-dashboard feature vectors and the corpus-level standard scaler.
 
 The default manifest derives 19 features from the two graphs: one count
-or mean per structural quantity plus 0/1 presence flags for block types
-and interaction edge classes.  Manifests are first-class, versioned
-artifacts: any subset or reordering of the registered feature names
-(including the complementary ``no_*`` absence flags) can be configured
-without code changes.
+or mean per structural quantity, read from the structure record of
+:func:`dashmine.analysis.analyze_graphs`, plus 0/1 presence flags for
+block types and interaction edge classes.  Manifests are first-class,
+versioned artifacts: any subset or reordering of the registered feature
+names (including the complementary ``no_*`` absence flags) can be
+configured without code changes.
 
 Count-like columns are standard-scaled to zero mean and unit variance
 (population standard deviation); presence flags pass through untouched.
@@ -21,7 +22,11 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from .analysis import average_shortest_path, maximal_cliques
+# average_shortest_path and maximal_cliques are not called here, but
+# bench/spans.py wraps them by the names features.average_shortest_path
+# and features.maximal_cliques, and every traced run fails if either
+# name is missing.
+from .analysis import analyze_graphs, average_shortest_path, maximal_cliques  # noqa: F401
 from .errors import EmptyCorpus, ManifestMismatch
 from .model import BlockType, DashboardGraphs, EdgeClass
 
@@ -41,31 +46,27 @@ _EDGE_FLAGS = {
 
 
 def _build_feature_table(graphs: DashboardGraphs) -> dict[str, float]:
-    node_ids = [b.id for b in graphs.nodes]
-    n = len(node_ids)
-    adj_pairs = [(e.source, e.target) for e in graphs.adjacency_edges]
-    adj_edges = len(adj_pairs)
-    int_edges = len(graphs.interaction_edges)
+    record = analyze_graphs(graphs)
+    adj = record["adjacency"]
+    inter = record["interaction"]
     present_types = {b.block_type for b in graphs.nodes}
     present_classes = {e.kind.edge_class for e in graphs.interaction_edges}
     # Clique features consider groups of two or more blocks; a dashboard
     # whose adjacency graph has no edges has no cliques in this sense.
-    cliques = [c for c in maximal_cliques(node_ids, adj_pairs) if len(c) >= 2]
+    n_cliques = adj["n_maximal_cliques_min2"]
 
     table: dict[str, float] = {
-        "n_blocks": float(n),
-        "adj_n_edges": float(adj_edges),
-        "adj_mean_degree": 2 * adj_edges / n if n else 0.0,
-        "int_n_edges": float(int_edges),
-        "int_mean_degree": 2 * int_edges / n if n else 0.0,
-        "int_mean_in_degree": int_edges / n if n else 0.0,
-        "int_mean_out_degree": int_edges / n if n else 0.0,
-        "adj_mean_shortest_path": average_shortest_path(node_ids, adj_pairs),
-        "adj_has_cliques": 1.0 if cliques else 0.0,
-        "adj_n_maximal_cliques": float(len(cliques)),
-        "adj_mean_clique_size": (
-            sum(len(c) for c in cliques) / len(cliques) if cliques else 0.0
-        ),
+        "n_blocks": float(adj["n_nodes"]),
+        "adj_n_edges": float(adj["n_edges"]),
+        "adj_mean_degree": adj["mean_degree"],
+        "int_n_edges": float(inter["n_edges"]),
+        "int_mean_degree": inter["mean_degree"],
+        "int_mean_in_degree": inter["mean_in_degree"],
+        "int_mean_out_degree": inter["mean_out_degree"],
+        "adj_mean_shortest_path": adj["mean_shortest_path"],
+        "adj_has_cliques": 1.0 if n_cliques else 0.0,
+        "adj_n_maximal_cliques": float(n_cliques),
+        "adj_mean_clique_size": adj["mean_clique_size_min2"],
     }
     for name, block_type in _BLOCK_FLAGS.items():
         flag = 1.0 if block_type in present_types else 0.0

@@ -129,7 +129,7 @@ def max_possible_interactions(blocks: Sequence[Block]) -> int:
 
 def build_graphs(dashboard: Dashboard, tol: Tolerance = Tolerance()) -> DashboardGraphs:
     """Derive the adjacency and interaction graphs of one dashboard."""
-    declared = extract_actions(None, dashboard)
+    declared = extract_actions(dashboard)
     return DashboardGraphs(
         dashboard_id=dashboard.id,
         nodes=dashboard.blocks,

@@ -67,9 +67,6 @@ class Workbook:
     worksheets: tuple[Worksheet, ...] = ()
     dashboards: tuple[Dashboard, ...] = ()
 
-    def worksheets_by_name(self) -> dict[str, Worksheet]:
-        return {w.name: w for w in self.worksheets}
-
 
 @dataclass(frozen=True)
 class ZoneRecord:
@@ -177,9 +174,7 @@ def extract_blocks(
 
 
 def extract_actions(
-    workbook: Workbook | None,
-    dashboard: Dashboard,
-    counters: MutableMapping[str, int] | None = None,
+    dashboard: Dashboard, counters: MutableMapping[str, int] | None = None
 ) -> list[Connection]:
     """Turn declared action records into typed interaction connections.
 

@@ -43,23 +43,17 @@ class MultimediaKind(str, Enum):
     OTHER = "other"
 
 
-KNOWN_CHART_TYPES = ("bar", "line", "map", "table", "pie", "scatter", "area")
-
-
 @dataclass(frozen=True)
 class ChartType:
     """Visualization type of a chart block.
 
-    Canonical names are listed in :data:`KNOWN_CHART_TYPES`; any other
-    name is preserved verbatim (bespoke charts such as sankey diagrams
-    stay identifiable instead of erroring).
+    :func:`infer_vis_type` yields the canonical names (bar, line, map,
+    table, pie, scatter, area); any other name is preserved verbatim
+    (bespoke charts such as sankey diagrams stay identifiable instead of
+    erroring).
     """
 
     name: str
-
-    @property
-    def is_known(self) -> bool:
-        return self.name in KNOWN_CHART_TYPES
 
 
 @dataclass(frozen=True)
@@ -147,12 +141,6 @@ class EdgeClass(str, Enum):
     CHART_TO_CHART = "chart_chart"
 
 
-# Interaction types observed in workbook actions; free-form strings are
-# allowed for anything else.
-INTERACTION_FILTER = "filter"
-INTERACTION_HIGHLIGHT = "highlight"
-
-
 @dataclass(frozen=True)
 class AdjacencyKind:
     config: AdjacencyConfig
@@ -175,12 +163,6 @@ class Connection:
     source: str
     target: str
     kind: AdjacencyKind | InteractionKind
-
-    def is_adjacency(self) -> bool:
-        return isinstance(self.kind, AdjacencyKind)
-
-    def is_interaction(self) -> bool:
-        return isinstance(self.kind, InteractionKind)
 
 
 @dataclass(frozen=True)
@@ -308,47 +290,6 @@ def validate(dashboard: Dashboard) -> list[str]:
         for endpoint in (action.source, action.target):
             if endpoint not in ids:
                 violations.append(f"unknown interaction endpoint: {endpoint}")
-    return violations
-
-
-def validate_graphs(graphs: DashboardGraphs) -> list[str]:
-    """Invariant checks for a constructed graph pair."""
-    violations: list[str] = []
-    ids = {b.id for b in graphs.nodes}
-    seen_adj: set[tuple[str, str]] = set()
-    for edge in graphs.adjacency_edges:
-        if not edge.is_adjacency():
-            violations.append(f"non-adjacency edge in adjacency list: {edge.source}->{edge.target}")
-        if edge.source == edge.target:
-            violations.append(f"self-loop in adjacency graph: {edge.source}")
-        if edge.source > edge.target:
-            violations.append(f"non-canonical adjacency edge: {edge.source}->{edge.target}")
-        if (edge.source, edge.target) in seen_adj:
-            violations.append(f"duplicate adjacency edge: {edge.source}--{edge.target}")
-        seen_adj.add((edge.source, edge.target))
-        if edge.source not in ids or edge.target not in ids:
-            violations.append(f"adjacency edge endpoint not a node: {edge.source}--{edge.target}")
-    seen_int: set[tuple[str, str, EdgeClass]] = set()
-    by_id = graphs.nodes_by_id()
-    for edge in graphs.interaction_edges:
-        if not edge.is_interaction():
-            violations.append(f"non-interaction edge in interaction list: {edge.source}->{edge.target}")
-            continue
-        if edge.source == edge.target:
-            violations.append(f"self-loop in interaction graph: {edge.source}")
-        key = (edge.source, edge.target, edge.kind.edge_class)
-        if key in seen_int:
-            violations.append(f"duplicate interaction edge: {edge.source}->{edge.target}")
-        seen_int.add(key)
-        src = by_id.get(edge.source)
-        tgt = by_id.get(edge.target)
-        if src is None or tgt is None:
-            violations.append(f"interaction edge endpoint not a node: {edge.source}->{edge.target}")
-        elif classify_interaction(src.block_type, tgt.block_type) != edge.kind.edge_class:
-            violations.append(
-                f"edge class {edge.kind.edge_class.value} inconsistent with endpoint types: "
-                f"{edge.source}->{edge.target}"
-            )
     return violations
 
 

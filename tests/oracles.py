@@ -5,8 +5,8 @@ it verifies: pixel-grid rasterization instead of interval arithmetic,
 exhaustive subset enumeration instead of Bron-Kerbosch, Floyd-Warshall
 instead of BFS, plain loops instead of vectorized silhouette, and a
 pure-Python Prim scan for MST weights.  The golden copies at the end are
-the exception: frozen earlier versions of two clusterer loops, kept for
-bit-for-bit comparison.
+the exception: frozen earlier versions of two clusterer loops and of the
+per-dashboard structural statistics, kept for bit-for-bit comparison.
 """
 
 from __future__ import annotations
@@ -14,6 +14,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from dashmine.analysis import average_shortest_path, maximal_cliques
+from dashmine.model import BlockType, EdgeClass
 
 
 # --- adjacency: half-pixel rasterization ------------------------------------
@@ -240,3 +243,89 @@ def golden_silhouette(X: np.ndarray, labels) -> tuple[dict[int, float], float]:
     per_cluster = {c: float(scores[members[c]].mean()) for c in cluster_labels}
     pooled = np.concatenate([members[c] for c in cluster_labels])
     return per_cluster, float(scores[pooled].mean())
+
+
+# Frozen copies of ``analysis.adjacency_stats``,
+# ``analysis.interaction_degree_stats`` and
+# ``features._build_feature_table`` as they were before the structure
+# record of ``analysis.analyze_graphs`` became their one definition.
+# Like the clusterer copies above, they call the library's clique and
+# path kernels on purpose: they hold the consolidation to equality, not
+# the kernels to correctness.
+
+
+def golden_adjacency_stats(graphs) -> dict:
+    node_ids = [b.id for b in graphs.nodes]
+    pairs = [(e.source, e.target) for e in graphs.adjacency_edges]
+    n = len(node_ids)
+    m = len(pairs)
+    cliques = maximal_cliques(node_ids, pairs)
+    return {
+        "n_nodes": n,
+        "n_edges": m,
+        "mean_degree": 2 * m / n if n else 0.0,
+        "mean_shortest_path": average_shortest_path(node_ids, pairs),
+        "n_maximal_cliques": len(cliques),
+        "mean_clique_size": sum(len(c) for c in cliques) / len(cliques) if cliques else 0.0,
+    }
+
+
+def golden_interaction_degree_stats(graphs) -> dict:
+    n = len(graphs.nodes)
+    m = len(graphs.interaction_edges)
+    per_node = m / n if n else 0.0
+    return {
+        "n_nodes": n,
+        "n_edges": m,
+        "mean_degree": 2 * m / n if n else 0.0,
+        "mean_in_degree": per_node,
+        "mean_out_degree": per_node,
+    }
+
+
+def golden_feature_table(graphs) -> dict[str, float]:
+    block_flags = {
+        "chart": BlockType.CHART,
+        "text": BlockType.TEXT,
+        "filter": BlockType.FILTER,
+        "legend": BlockType.LEGEND,
+        "multimedia": BlockType.MULTIMEDIA,
+    }
+    edge_flags = {
+        "filter_chart_edge": EdgeClass.FILTER_TO_CHART,
+        "legend_chart_edge": EdgeClass.LEGEND_TO_CHART,
+        "chart_chart_edge": EdgeClass.CHART_TO_CHART,
+    }
+    node_ids = [b.id for b in graphs.nodes]
+    n = len(node_ids)
+    adj_pairs = [(e.source, e.target) for e in graphs.adjacency_edges]
+    adj_edges = len(adj_pairs)
+    int_edges = len(graphs.interaction_edges)
+    present_types = {b.block_type for b in graphs.nodes}
+    present_classes = {e.kind.edge_class for e in graphs.interaction_edges}
+    cliques = [c for c in maximal_cliques(node_ids, adj_pairs) if len(c) >= 2]
+
+    table: dict[str, float] = {
+        "n_blocks": float(n),
+        "adj_n_edges": float(adj_edges),
+        "adj_mean_degree": 2 * adj_edges / n if n else 0.0,
+        "int_n_edges": float(int_edges),
+        "int_mean_degree": 2 * int_edges / n if n else 0.0,
+        "int_mean_in_degree": int_edges / n if n else 0.0,
+        "int_mean_out_degree": int_edges / n if n else 0.0,
+        "adj_mean_shortest_path": average_shortest_path(node_ids, adj_pairs),
+        "adj_has_cliques": 1.0 if cliques else 0.0,
+        "adj_n_maximal_cliques": float(len(cliques)),
+        "adj_mean_clique_size": (
+            sum(len(c) for c in cliques) / len(cliques) if cliques else 0.0
+        ),
+    }
+    for name, block_type in block_flags.items():
+        flag = 1.0 if block_type in present_types else 0.0
+        table[f"has_{name}"] = flag
+        table[f"no_{name}"] = 1.0 - flag
+    for name, edge_class in edge_flags.items():
+        flag = 1.0 if edge_class in present_classes else 0.0
+        table[f"has_{name}"] = flag
+        table[f"no_{name}"] = 1.0 - flag
+    return table

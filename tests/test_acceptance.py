@@ -22,7 +22,7 @@ from dashmine.geometry import (
     detect_adjacency,
     max_possible_interactions,
 )
-from dashmine.analysis import average_shortest_path, maximal_cliques
+from dashmine.analysis import analyze_graphs, average_shortest_path, maximal_cliques
 from dashmine.model import BlockType, Dashboard, ActionRecord
 
 from conftest import (
@@ -338,12 +338,10 @@ def test_criterion_11_invariant_suites():
                         assert not members <= neighbors[v]
 
         # relabeling invariance of adjacency graphs + stats
-        from dashmine.analysis import adjacency_stats
-
         for i in range(200):
             d = random_dashboard(rng, f"d{i}")
             graphs = build_graphs(d)
-            stats = adjacency_stats(graphs)
+            stats = analyze_graphs(graphs)["adjacency"]
             from dataclasses import replace
 
             mapping = {
@@ -358,12 +356,9 @@ def test_criterion_11_invariant_suites():
                     for a in d.declared_interactions
                 ),
             )
-            renamed_stats = adjacency_stats(build_graphs(renamed))
-            assert (stats.n_edges, stats.mean_degree, stats.mean_shortest_path) == (
-                renamed_stats.n_edges,
-                renamed_stats.mean_degree,
-                renamed_stats.mean_shortest_path,
-            )
+            renamed_stats = analyze_graphs(build_graphs(renamed))["adjacency"]
+            keys = ("n_edges", "mean_degree", "mean_shortest_path")
+            assert [stats[k] for k in keys] == [renamed_stats[k] for k in keys]
 
         # feature extraction invariant under block permutation
         manifest = default_manifest()

@@ -3,18 +3,21 @@ from __future__ import annotations
 import numpy as np
 
 from dashmine.analysis import (
-    adjacency_stats,
     analyze_graphs,
     average_shortest_path,
     clique_pattern,
-    interaction_degree_stats,
     maximal_cliques,
 )
 from dashmine.geometry import build_graphs
 from dashmine.model import BlockType, DashboardGraphs
 
 from conftest import make_block, random_dashboard
-from oracles import exhaustive_maximal_cliques, floyd_warshall_average
+from oracles import (
+    exhaustive_maximal_cliques,
+    floyd_warshall_average,
+    golden_adjacency_stats,
+    golden_interaction_degree_stats,
+)
 
 
 def _random_graph(rng, n_max=12):
@@ -125,13 +128,13 @@ def _graphs_of(dashboard):
 
 
 def test_fig_a_interaction_degree_means(fig_graphs):
-    stats = interaction_degree_stats(fig_graphs["fig_a"])
-    assert stats.mean_in_degree == stats.mean_out_degree == 3.0
+    stats = analyze_graphs(fig_graphs["fig_a"])["interaction"]
+    assert stats["mean_in_degree"] == stats["mean_out_degree"] == 3.0
 
 
 def test_fig_b_interaction_degree_zero(fig_graphs):
-    stats = interaction_degree_stats(fig_graphs["fig_b"])
-    assert stats.mean_in_degree == stats.mean_out_degree == 0.0
+    stats = analyze_graphs(fig_graphs["fig_b"])["interaction"]
+    assert stats["mean_in_degree"] == stats["mean_out_degree"] == 0.0
 
 
 def test_star_out_degree():
@@ -145,25 +148,25 @@ def test_star_out_degree():
     )
     actions = tuple(ActionRecord("F", f"C{i}", "filter") for i in (1, 2, 3))
     graphs = _graphs_of(Dashboard(id="star", blocks=blocks, declared_interactions=actions))
-    stats = interaction_degree_stats(graphs)
-    assert stats.mean_out_degree == 0.75
-    assert stats.mean_in_degree == 0.75
+    stats = analyze_graphs(graphs)["interaction"]
+    assert stats["mean_out_degree"] == 0.75
+    assert stats["mean_in_degree"] == 0.75
 
 
 def test_in_degree_equals_out_degree_always():
     rng = np.random.default_rng(47)
     for i in range(100):
-        stats = interaction_degree_stats(_graphs_of(random_dashboard(rng, f"d{i}")))
-        assert stats.mean_in_degree == stats.mean_out_degree
+        stats = analyze_graphs(_graphs_of(random_dashboard(rng, f"d{i}")))["interaction"]
+        assert stats["mean_in_degree"] == stats["mean_out_degree"]
 
 
 def test_adjacency_mean_degree_identity():
     rng = np.random.default_rng(53)
     for i in range(50):
         graphs = _graphs_of(random_dashboard(rng, f"d{i}"))
-        stats = adjacency_stats(graphs)
-        if stats.n_nodes:
-            assert stats.mean_degree == 2 * stats.n_edges / stats.n_nodes
+        stats = analyze_graphs(graphs)["adjacency"]
+        if stats["n_nodes"]:
+            assert stats["mean_degree"] == 2 * stats["n_edges"] / stats["n_nodes"]
 
 
 def test_stats_invariant_under_relabeling():
@@ -186,13 +189,9 @@ def test_stats_invariant_under_relabeling():
             for e in graphs.interaction_edges
         ),
     )
-    a, b = adjacency_stats(graphs), adjacency_stats(renamed)
-    assert (a.n_edges, a.mean_degree, a.mean_shortest_path, a.n_maximal_cliques) == (
-        b.n_edges,
-        b.mean_degree,
-        b.mean_shortest_path,
-        b.n_maximal_cliques,
-    )
+    a, b = analyze_graphs(graphs)["adjacency"], analyze_graphs(renamed)["adjacency"]
+    keys = ("n_edges", "mean_degree", "mean_shortest_path", "n_maximal_cliques")
+    assert [a[k] for k in keys] == [b[k] for k in keys]
 
 
 def test_analysis_document_counts_cliques_both_ways():
@@ -212,3 +211,25 @@ def test_analysis_document_counts_cliques_both_ways():
     assert doc["adjacency"]["n_maximal_cliques"] == 2  # {a,b} and {iso}
     assert doc["adjacency"]["n_maximal_cliques_min2"] == 1
     assert doc["clique_patterns"] == {"chart|chart": 1, "multimedia": 1}
+
+
+def test_structure_record_matches_golden_stats(fig_graphs):
+    rng = np.random.default_rng(61)
+    cases = [DashboardGraphs(dashboard_id="empty", nodes=()), *fig_graphs.values()]
+    cases += [_graphs_of(random_dashboard(rng, f"g{i}")) for i in range(300)]
+    for graphs in cases:
+        doc = analyze_graphs(graphs)
+        adj, inter = doc["adjacency"], doc["interaction"]
+        for key, value in golden_adjacency_stats(graphs).items():
+            assert adj[key] == value, (graphs.dashboard_id, key)
+        for key, value in golden_interaction_degree_stats(graphs).items():
+            assert inter[key] == value, (graphs.dashboard_id, key)
+        cliques = maximal_cliques(
+            [b.id for b in graphs.nodes], [(e.source, e.target) for e in graphs.adjacency_edges]
+        )
+        nontrivial = [c for c in cliques if len(c) >= 2]
+        assert adj["n_maximal_cliques_min2"] == len(nontrivial)
+        assert adj["mean_clique_size_min2"] == (
+            sum(len(c) for c in nontrivial) / len(nontrivial) if nontrivial else 0.0
+        )
+        assert doc["cliques"] == [list(c) for c in cliques]

@@ -4,6 +4,8 @@ import csv
 import json
 from pathlib import Path
 
+import pytest
+
 from dashmine.cli import main
 from dashmine.features import FeatureVector, default_manifest, matrix_to_csv
 
@@ -128,6 +130,42 @@ def test_failed_stage_removes_partial_outputs(tmp_path):
     code = main(["parse", "--input", str(good), str(bad), "--out", str(tmp_path / "out")])
     assert code == 2
     assert not (tmp_path / "out" / "dashboards.ndjson").exists()
+
+
+@pytest.mark.parametrize("bad_id", ["sub/dir", "back\\slash", "", ".", ".."])
+def test_parse_rejects_ids_unsafe_as_file_names(tmp_path, capsys, bad_id):
+    # An id such as "sub/dir" would put its graph file in a subdirectory,
+    # where the later stages never look for it.
+    docs = tmp_path / "docs"
+    docs.mkdir()
+    fig_a = json.loads((FIXTURES / "fig_a.json").read_text())
+    for i, dash_id in enumerate(("a", "b", "c", bad_id)):
+        (docs / f"doc{i}.json").write_text(json.dumps(fig_a | {"id": dash_id}))
+    out = tmp_path / "out"
+    assert main(["parse", "--input", str(docs), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (error["error"], error["stage"]) == ("SchemaViolation", "parse")
+    assert not out.exists()
+
+
+def test_later_stages_reject_unsafe_and_duplicate_ids(tmp_path):
+    fig_a = json.loads((FIXTURES / "fig_a.json").read_text())
+    out = tmp_path / "out"
+    for ids in (("a", "sub/dir"), ("a", "a")):
+        ndjson = tmp_path / "dashboards.ndjson"
+        ndjson.write_text("".join(json.dumps(fig_a | {"id": i}) + "\n" for i in ids))
+        assert main(["graph", "--input", str(ndjson), "--out", str(out)]) == 2
+        assert not out.exists()
+
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    nodes = {"nodes": [{"id": "c", "type": "chart"}]}
+    (graphs / "a.graph.json").write_text(json.dumps(nodes | {"dashboard_id": "a"}))
+    for bad_id in ("../escape", "a"):
+        (graphs / "b.graph.json").write_text(json.dumps(nodes | {"dashboard_id": bad_id}))
+        for stage in ("analyze", "features", "report", "lint"):
+            assert main([stage, "--input", str(graphs), "--out", str(out)]) == 2
+        assert not out.exists()
 
 
 def test_lenient_mode_downgrades_unknown_zone(tmp_path):

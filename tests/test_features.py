@@ -5,6 +5,7 @@ import pytest
 
 from dashmine.errors import EmptyCorpus, ManifestMismatch
 from dashmine.features import (
+    FEATURE_NAMES,
     FeatureManifest,
     FeatureVector,
     apply_scaler,
@@ -16,9 +17,10 @@ from dashmine.features import (
     matrix_to_csv,
 )
 from dashmine.geometry import build_graphs
-from dashmine.model import BlockType, Dashboard
+from dashmine.model import BlockType, Dashboard, DashboardGraphs
 
 from conftest import make_block, random_dashboard
+from oracles import golden_feature_table
 
 MANIFEST = default_manifest()
 COL = {name: i for i, name in enumerate(MANIFEST.names)}
@@ -221,3 +223,16 @@ def test_csv_round_trip_keeps_ids_that_start_with_hash():
     _, vectors_back = matrix_from_csv(text)
     assert [v.dashboard_id for v in vectors_back] == ids
     assert [v.values for v in vectors_back] == [v.values for v in vectors]
+
+
+def test_every_feature_column_matches_golden_table(fig_graphs):
+    all_columns = FeatureManifest(names=FEATURE_NAMES)
+    rng = np.random.default_rng(67)
+    cases = [DashboardGraphs(dashboard_id="empty", nodes=()), *fig_graphs.values()]
+    cases += [build_graphs(random_dashboard(rng, f"g{i}")) for i in range(300)]
+    for graphs in cases:
+        golden = golden_feature_table(graphs)
+        assert FEATURE_NAMES == tuple(golden)
+        values = extract_features(graphs, all_columns).values
+        for name, value in zip(FEATURE_NAMES, values):
+            assert value == golden[name], (graphs.dashboard_id, name)

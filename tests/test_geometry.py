@@ -12,10 +12,12 @@ from dashmine.geometry import (
 )
 from dashmine.model import (
     AdjacencyConfig,
+    AdjacencyKind,
     BlockType,
     Connection,
     EdgeClass,
     InteractionKind,
+    classify_interaction,
 )
 
 from conftest import make_block, random_dashboard
@@ -225,3 +227,25 @@ def test_interaction_bound_on_random_dashboards():
 
 def test_fig_a_attains_the_bound(fig_a, fig_graphs):
     assert len(fig_graphs["fig_a"].interaction_edges) == max_possible_interactions(fig_a.blocks) == 12
+
+
+def test_built_graphs_keep_their_invariants(fig_graphs):
+    rng = np.random.default_rng(71)
+    cases = list(fig_graphs.values())
+    cases += [build_graphs(random_dashboard(rng, f"d{i}")) for i in range(200)]
+    for graphs in cases:
+        by_id = graphs.nodes_by_id()
+        assert len(by_id) == len(graphs.nodes)
+        adjacency = [(e.source, e.target) for e in graphs.adjacency_edges]
+        assert len(set(adjacency)) == len(adjacency)
+        for edge in graphs.adjacency_edges:
+            assert isinstance(edge.kind, AdjacencyKind)
+            assert edge.source < edge.target  # canonical, no self-loop
+            assert edge.source in by_id and edge.target in by_id
+        keys = [(e.source, e.target, e.kind.edge_class) for e in graphs.interaction_edges]
+        assert len(set(keys)) == len(keys)
+        for edge in graphs.interaction_edges:
+            assert isinstance(edge.kind, InteractionKind)
+            assert edge.source != edge.target
+            source, target = by_id[edge.source], by_id[edge.target]
+            assert classify_interaction(source.block_type, target.block_type) is edge.kind.edge_class

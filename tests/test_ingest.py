@@ -158,19 +158,19 @@ def _dash_with_action(source_type: BlockType, target_type: BlockType) -> Dashboa
 
 
 def test_legend_to_chart_action():
-    conns = extract_actions(None, _dash_with_action(BlockType.LEGEND, BlockType.CHART))
+    conns = extract_actions(_dash_with_action(BlockType.LEGEND, BlockType.CHART))
     assert len(conns) == 1
     assert conns[0].kind.itype == "highlight"
     assert conns[0].kind.edge_class is EdgeClass.LEGEND_TO_CHART
 
 
 def test_fig_c_actions_become_eight_connections(fig_c):
-    assert len(extract_actions(None, fig_c)) == 8
+    assert len(extract_actions(fig_c)) == 8
 
 
 def test_unsupported_action_pair_dropped_and_counted():
     counters: dict[str, int] = {}
-    conns = extract_actions(None, _dash_with_action(BlockType.TEXT, BlockType.CHART), counters)
+    conns = extract_actions(_dash_with_action(BlockType.TEXT, BlockType.CHART), counters)
     assert conns == []
     assert counters == {"dropped": 1}
 
@@ -184,7 +184,7 @@ def test_dangling_action_endpoint_raises():
         declared_interactions=(ActionRecord("c", "ghost", "filter"),),
     )
     with pytest.raises(SchemaViolation):
-        extract_actions(None, d)
+        extract_actions(d)
 
 
 def test_edge_class_always_matches_endpoint_types():
@@ -197,7 +197,7 @@ def test_edge_class_always_matches_endpoint_types():
     for i in range(100):
         d = random_dashboard(rng, f"d{i}")
         by_id = d.blocks_by_id()
-        for conn in extract_actions(None, d):
+        for conn in extract_actions(d):
             expected = classify_interaction(
                 by_id[conn.source].block_type, by_id[conn.target].block_type
             )
