@@ -1,10 +1,12 @@
 """
-Blocks, connections, and the two dashboard graphs
-==================================================
+Blocks, edges, and the two dashboard graphs
+============================================
 
 Every dashboard is modeled as typed blocks (chart, text, filter, legend,
 multimedia) plus two graphs over them: an undirected adjacency graph for
-spatial structure and a directed interaction graph for behavior.  This
+spatial structure and a directed interaction graph for behavior.  Each
+edge is a flat record: an AdjacencyEdge carries its spatial ``config``,
+an InteractionEdge its ``edge_class`` and declared ``itype``.  This
 walkthrough loads the three showcase dashboards and prints both graphs.
 """
 
@@ -30,11 +32,11 @@ for name in ("fig_a", "fig_b", "fig_c"):
 
     print(f"adjacency edges ({len(graphs.adjacency_edges)}):")
     for edge in graphs.adjacency_edges:
-        print(f"  {edge.source} -- {edge.target}  [{edge.kind.config.value}]")
+        print(f"  {edge.source} -- {edge.target}  [{edge.config.value}]")
 
     print(f"interaction edges ({len(graphs.interaction_edges)}):")
     for edge in graphs.interaction_edges:
-        print(f"  {edge.source} -> {edge.target}  [{edge.kind.edge_class.value}]")
+        print(f"  {edge.source} -> {edge.target}  [{edge.edge_class.value}, {edge.itype}]")
     print()
 
 # The first dashboard is fully interlinked: four charts, twelve directed

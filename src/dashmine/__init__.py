@@ -47,21 +47,21 @@ from .ingest import (
     extract_actions,
     extract_blocks,
     filter_corpus,
-    infer_chart_type,
     parse_workbook,
 )
 from .model import (
     ActionRecord,
     AdjacencyConfig,
+    AdjacencyEdge,
     Block,
     BlockType,
     ChartProps,
     ChartType,
-    Connection,
     Dashboard,
     DashboardGraphs,
     EdgeClass,
     FilterProps,
+    InteractionEdge,
     LegendProps,
     MultimediaProps,
     TextProps,

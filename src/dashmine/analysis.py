@@ -26,33 +26,14 @@ def _adjacency_sets(
     return neighbors
 
 
-def _degeneracy_order(neighbors: Mapping[str, set[str]]) -> list[str]:
-    """Order vertices by repeatedly removing a minimum-degree vertex.
-
-    Ties resolve to the lexicographically smallest id, which makes the
-    clique enumeration deterministic.
-    """
-    degree = {v: len(ns) for v, ns in neighbors.items()}
-    remaining = set(neighbors)
-    order = []
-    while remaining:
-        v = min(remaining, key=lambda u: (degree[u], u))
-        order.append(v)
-        remaining.remove(v)
-        for w in neighbors[v]:
-            if w in remaining:
-                degree[w] -= 1
-    return order
-
-
 def maximal_cliques(
     node_ids: Sequence[str], edges: Iterable[tuple[str, str]]
 ) -> list[tuple[str, ...]]:
     """All maximal cliques of a simple undirected graph.
 
-    Bron-Kerbosch with pivoting, seeded along a degeneracy ordering.
-    Isolated nodes yield size-1 cliques.  Cliques are returned as sorted
-    member tuples, largest first (ties by member ids).
+    Bron-Kerbosch with pivoting (Tomita et al. 2006), one call over the
+    whole vertex set.  Isolated nodes yield size-1 cliques.  Cliques are
+    returned as sorted member tuples, largest first (ties by member ids).
     """
     neighbors = _adjacency_sets(node_ids, edges)
     cliques: list[tuple[str, ...]] = []
@@ -67,12 +48,8 @@ def maximal_cliques(
             p.remove(v)
             x.add(v)
 
-    order = _degeneracy_order(neighbors)
-    position = {v: i for i, v in enumerate(order)}
-    for v in order:
-        later = {w for w in neighbors[v] if position[w] > position[v]}
-        earlier = {w for w in neighbors[v] if position[w] < position[v]}
-        expand({v}, later, earlier)
+    if neighbors:  # on no vertices, expand would report the empty clique
+        expand(set(), set(neighbors), set())
 
     cliques.sort(key=lambda c: (-len(c), c))
     return cliques

@@ -359,7 +359,7 @@ def _add_common(sub: argparse.ArgumentParser, jobs: bool = True) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dashmine",
-        description="Convert dashboard documents to block/connection graphs and mine design patterns.",
+        description="Convert dashboard documents to block/edge graphs and mine design patterns.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -71,7 +71,6 @@ class ClusterResult:
     selected: tuple[int, ...]
     cluster_ids: dict[int, int]  # label -> condensed-tree cluster id
     n_points: int
-    silhouette: SilhouetteScores | None = None
 
     @property
     def n_clusters(self) -> int:

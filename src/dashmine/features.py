@@ -50,7 +50,7 @@ def _build_feature_table(graphs: DashboardGraphs) -> dict[str, float]:
     adj = record["adjacency"]
     inter = record["interaction"]
     present_types = {b.block_type for b in graphs.nodes}
-    present_classes = {e.kind.edge_class for e in graphs.interaction_edges}
+    present_classes = {e.edge_class for e in graphs.interaction_edges}
     # Clique features consider groups of two or more blocks; a dashboard
     # whose adjacency graph has no edges has no cliques in this sense.
     n_cliques = adj["n_maximal_cliques_min2"]

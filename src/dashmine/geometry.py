@@ -21,13 +21,12 @@ from typing import Iterable, Sequence
 from .ingest import extract_actions
 from .model import (
     AdjacencyConfig,
-    AdjacencyKind,
+    AdjacencyEdge,
     Block,
     BlockType,
-    Connection,
     Dashboard,
     DashboardGraphs,
-    InteractionKind,
+    InteractionEdge,
 )
 
 DEFAULT_TOLERANCE_PX = 10
@@ -66,7 +65,9 @@ def detect_adjacency(a: Block, b: Block, tol: Tolerance = Tolerance()) -> Adjace
     return None
 
 
-def build_adjacency_graph(blocks: Sequence[Block], tol: Tolerance = Tolerance()) -> list[Connection]:
+def build_adjacency_graph(
+    blocks: Sequence[Block], tol: Tolerance = Tolerance()
+) -> list[AdjacencyEdge]:
     """One canonical undirected edge per adjacent unordered pair.
 
     Edges are stored with ``source < target`` and sorted by
@@ -79,15 +80,15 @@ def build_adjacency_graph(blocks: Sequence[Block], tol: Tolerance = Tolerance())
             if config is None:
                 continue
             source, target = sorted((a.id, b.id))
-            edges.append(Connection(source=source, target=target, kind=AdjacencyKind(config)))
+            edges.append(AdjacencyEdge(source, target, config))
     edges.sort(key=lambda e: (e.source, e.target))
     return edges
 
 
 def build_interaction_graph(
-    blocks: Sequence[Block], declared: Iterable[Connection]
-) -> list[Connection]:
-    """Prune declared interaction connections into a simple directed graph.
+    blocks: Sequence[Block], declared: Iterable[InteractionEdge]
+) -> list[InteractionEdge]:
+    """Prune declared interaction edges into a simple directed graph.
 
     Self-loops are removed and duplicates collapse on
     (source, target, edge class); the declared interaction type of the
@@ -97,19 +98,17 @@ def build_interaction_graph(
     ids = {b.id for b in blocks}
     seen: set[tuple[str, str, str]] = set()
     edges = []
-    for conn in declared:
-        if not isinstance(conn.kind, InteractionKind):
-            raise TypeError("build_interaction_graph expects interaction connections")
-        if conn.source == conn.target:
+    for edge in declared:
+        if edge.source == edge.target:
             continue
-        if conn.source not in ids or conn.target not in ids:
-            raise ValueError(f"interaction endpoint not among blocks: {conn.source}->{conn.target}")
-        key = (conn.source, conn.target, conn.kind.edge_class.value)
+        if edge.source not in ids or edge.target not in ids:
+            raise ValueError(f"interaction endpoint not among blocks: {edge.source}->{edge.target}")
+        key = (edge.source, edge.target, edge.edge_class.value)
         if key in seen:
             continue
         seen.add(key)
-        edges.append(conn)
-    edges.sort(key=lambda e: (e.source, e.target, e.kind.edge_class.value))
+        edges.append(edge)
+    edges.sort(key=lambda e: (e.source, e.target, e.edge_class.value))
     return edges
 
 

@@ -27,11 +27,9 @@ from .model import (
     Block,
     BlockType,
     ChartProps,
-    ChartType,
-    Connection,
     Dashboard,
     FilterProps,
-    InteractionKind,
+    InteractionEdge,
     LegendProps,
     MultimediaKind,
     MultimediaProps,
@@ -86,11 +84,6 @@ class ZoneRecord:
     text: str = ""
 
 
-def infer_chart_type(worksheet: Worksheet) -> ChartType:
-    """Visualization type of a worksheet; see :func:`dashmine.model.infer_vis_type`."""
-    return infer_vis_type(worksheet.marks, worksheet.encodings)
-
-
 # Zone kinds accepted by the XML subset.  Hyphenated legend kinds such as
 # "color-legend" carry the channel in the prefix.
 _MEDIA_ZONE_KINDS = {"image": MultimediaKind.IMAGE, "webpage": MultimediaKind.WEBPAGE}
@@ -110,7 +103,7 @@ def _block_from_zone(
         if worksheet is None:
             raise SchemaViolation(f"unknown worksheet: {zone.worksheet}", path)
         props = ChartProps(
-            vis_type=infer_chart_type(worksheet),
+            vis_type=infer_vis_type(worksheet.marks, worksheet.encodings),
             marks=worksheet.marks,
             encodings=worksheet.encodings,
         )
@@ -175,8 +168,8 @@ def extract_blocks(
 
 def extract_actions(
     dashboard: Dashboard, counters: MutableMapping[str, int] | None = None
-) -> list[Connection]:
-    """Turn declared action records into typed interaction connections.
+) -> list[InteractionEdge]:
+    """Turn declared action records into typed interaction edges.
 
     The edge class is derived from the endpoint block types; actions whose
     endpoints do not form one of the three supported classes are dropped
@@ -184,7 +177,7 @@ def extract_actions(
     Dangling endpoint ids raise :class:`SchemaViolation`.
     """
     by_id = dashboard.blocks_by_id()
-    connections: list[Connection] = []
+    edges: list[InteractionEdge] = []
     for action in dashboard.declared_interactions:
         for endpoint in (action.source, action.target):
             if endpoint not in by_id:
@@ -199,14 +192,8 @@ def extract_actions(
             if counters is not None:
                 counters["dropped"] = counters.get("dropped", 0) + 1
             continue
-        connections.append(
-            Connection(
-                source=action.source,
-                target=action.target,
-                kind=InteractionKind(itype=action.action_type, edge_class=edge_class),
-            )
-        )
-    return connections
+        edges.append(InteractionEdge(action.source, action.target, action.action_type, edge_class))
+    return edges
 
 
 def filter_corpus(dashboards: Iterable[Dashboard], min_charts: int = 2) -> list[Dashboard]:

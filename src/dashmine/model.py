@@ -1,14 +1,14 @@
 """Schematic representation of dashboard designs.
 
 A dashboard is modeled as a set of *blocks* (its visual elements) plus
-pairwise *connections* between blocks.  Connections are either spatial
-(adjacency: partial overlap, containment, adjoining) or behavioral
-(interaction: filter/legend/chart driving a chart).  The two derived
-graphs over the same node set -- an undirected adjacency graph and a
-directed interaction graph -- are bundled in :class:`DashboardGraphs`.
+two kinds of pairwise edge between blocks: an :class:`AdjacencyEdge` is
+spatial (partial overlap, containment, adjoining) and an
+:class:`InteractionEdge` is behavioral (a filter, legend or chart
+driving a chart).  The two derived graphs over the same node set -- an
+undirected adjacency graph and a directed interaction graph -- are
+bundled in :class:`DashboardGraphs`.
 
-All types are immutable value objects after construction and safe to
-share between workers.
+All types are immutable value objects after construction.
 """
 
 from __future__ import annotations
@@ -142,27 +142,22 @@ class EdgeClass(str, Enum):
 
 
 @dataclass(frozen=True)
-class AdjacencyKind:
+class AdjacencyEdge:
+    """An undirected spatial edge, stored canonically with ``source < target``."""
+
+    source: str
+    target: str
     config: AdjacencyConfig
 
 
 @dataclass(frozen=True)
-class InteractionKind:
-    itype: str
-    edge_class: EdgeClass
-
-
-@dataclass(frozen=True)
-class Connection:
-    """A typed pairwise relationship between two blocks.
-
-    Adjacency connections are undirected and stored canonically with
-    ``source < target``; interaction connections are directed.
-    """
+class InteractionEdge:
+    """A directed interaction edge with its declared type and edge class."""
 
     source: str
     target: str
-    kind: AdjacencyKind | InteractionKind
+    itype: str
+    edge_class: EdgeClass
 
 
 @dataclass(frozen=True)
@@ -197,8 +192,8 @@ class DashboardGraphs:
 
     dashboard_id: str
     nodes: tuple[Block, ...]
-    adjacency_edges: tuple[Connection, ...] = ()
-    interaction_edges: tuple[Connection, ...] = ()
+    adjacency_edges: tuple[AdjacencyEdge, ...] = ()
+    interaction_edges: tuple[InteractionEdge, ...] = ()
 
     def nodes_by_id(self) -> dict[str, Block]:
         return {b.id: b for b in self.nodes}
@@ -262,7 +257,7 @@ def validate(dashboard: Dashboard) -> list[str]:
     """Check every type invariant; violations are data, not failures.
 
     Returns an empty list iff the dashboard is well-formed.  Each entry
-    names the offending block or connection.
+    names the offending block or interaction.
     """
     violations: list[str] = []
     seen: set[str] = set()
@@ -418,23 +413,26 @@ def dashboard_from_dict(obj: Mapping[str, Any]) -> Dashboard:
     )
 
 
+def _node_to_dict(block: Block) -> dict[str, Any]:
+    doc = {"id": block.id, "type": block.block_type.value}
+    if isinstance(block.props, ChartProps):
+        doc["vis_type"] = block.props.vis_type.name
+    return doc
+
+
 def graphs_to_dict(graphs: DashboardGraphs) -> dict[str, Any]:
-    """Graph document: nodes keep only id and type (geometry is not
-    round-tripped; downstream stages never need it)."""
+    """Graph document: nodes keep only id, type and, for charts, the
+    visualization type (geometry is not round-tripped; downstream stages
+    never need it)."""
     return {
         "dashboard_id": graphs.dashboard_id,
-        "nodes": [{"id": b.id, "type": b.block_type.value} for b in graphs.nodes],
+        "nodes": [_node_to_dict(b) for b in graphs.nodes],
         "adjacency": [
-            {"source": e.source, "target": e.target, "config": e.kind.config.value}
+            {"source": e.source, "target": e.target, "config": e.config.value}
             for e in graphs.adjacency_edges
         ],
         "interaction": [
-            {
-                "source": e.source,
-                "target": e.target,
-                "class": e.kind.edge_class.value,
-                "itype": e.kind.itype,
-            }
+            {"source": e.source, "target": e.target, "class": e.edge_class.value, "itype": e.itype}
             for e in graphs.interaction_edges
         ],
     }
@@ -443,12 +441,15 @@ def graphs_to_dict(graphs: DashboardGraphs) -> dict[str, Any]:
 def graphs_from_dict(obj: Mapping[str, Any]) -> DashboardGraphs:
     """Rebuild a graph pair from a graph document.
 
-    Node positions/props are absent from graph documents, so nodes are
-    reconstructed as unit-square placeholders of the recorded type.
+    Node positions are absent from graph documents, so nodes are
+    reconstructed as unit squares of the recorded type; a chart node
+    gets back its ``vis_type`` and no other props.
     """
     nodes = []
     for n in obj.get("nodes", ()):
         block_type = BlockType(str(n["type"]))
+        chart = block_type is BlockType.CHART and "vis_type" in n
+        props = {"vis_type": n["vis_type"]} if chart else {}
         nodes.append(
             Block(
                 id=str(n["id"]),
@@ -457,18 +458,19 @@ def graphs_from_dict(obj: Mapping[str, Any]) -> DashboardGraphs:
                 y=0,
                 w=1,
                 h=1,
-                props=props_from_dict(block_type, {}),
+                props=props_from_dict(block_type, props),
             )
         )
     adjacency = tuple(
-        Connection(str(e["source"]), str(e["target"]), AdjacencyKind(AdjacencyConfig(str(e["config"]))))
+        AdjacencyEdge(str(e["source"]), str(e["target"]), AdjacencyConfig(str(e["config"])))
         for e in obj.get("adjacency", ())
     )
     interaction = tuple(
-        Connection(
+        InteractionEdge(
             str(e["source"]),
             str(e["target"]),
-            InteractionKind(itype=str(e.get("itype", "filter")), edge_class=EdgeClass(str(e["class"]))),
+            str(e.get("itype", "filter")),
+            EdgeClass(str(e["class"])),
         )
         for e in obj.get("interaction", ())
     )

@@ -123,7 +123,7 @@ def interaction_adjacency_overlap(graphs: DashboardGraphs) -> tuple[int, dict[st
         key = tuple(sorted((edge.source, edge.target)))
         if key in adjacent_pairs:
             count += 1
-            by_class[edge.kind.edge_class.value] += 1
+            by_class[edge.edge_class.value] += 1
     return count, by_class
 
 
@@ -166,11 +166,11 @@ def summarize_corpus(corpus: Sequence[DashboardGraphs]) -> CorpusSummary:
                 saturations.append(Fraction(n_edges, possible))
             pooled_realized += n_edges
             pooled_possible += possible
-            present = {e.kind.edge_class.value for e in graphs.interaction_edges}
+            present = {e.edge_class.value for e in graphs.interaction_edges}
             for cls in present:
                 edge_class_presence[cls] += 1
             for e in graphs.interaction_edges:
-                itype_counts[e.kind.itype] = itype_counts.get(e.kind.itype, 0) + 1
+                itype_counts[e.itype] = itype_counts.get(e.itype, 0) + 1
 
         node_ids = [b.id for b in graphs.nodes]
         pairs = [(e.source, e.target) for e in graphs.adjacency_edges]

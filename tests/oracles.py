@@ -5,8 +5,9 @@ it verifies: pixel-grid rasterization instead of interval arithmetic,
 exhaustive subset enumeration instead of Bron-Kerbosch, Floyd-Warshall
 instead of BFS, plain loops instead of vectorized silhouette, and a
 pure-Python Prim scan for MST weights.  The golden copies at the end are
-the exception: frozen earlier versions of two clusterer loops and of the
-per-dashboard structural statistics, kept for bit-for-bit comparison.
+the exception: frozen earlier versions of two clusterer loops, of the
+per-dashboard structural statistics and of the degeneracy-ordered clique
+enumeration, kept for bit-for-bit comparison.
 """
 
 from __future__ import annotations
@@ -302,7 +303,7 @@ def golden_feature_table(graphs) -> dict[str, float]:
     adj_edges = len(adj_pairs)
     int_edges = len(graphs.interaction_edges)
     present_types = {b.block_type for b in graphs.nodes}
-    present_classes = {e.kind.edge_class for e in graphs.interaction_edges}
+    present_classes = {e.edge_class for e in graphs.interaction_edges}
     cliques = [c for c in maximal_cliques(node_ids, adj_pairs) if len(c) >= 2]
 
     table: dict[str, float] = {
@@ -329,3 +330,55 @@ def golden_feature_table(graphs) -> dict[str, float]:
         table[f"has_{name}"] = flag
         table[f"no_{name}"] = 1.0 - flag
     return table
+
+
+# --- golden copy: maximal cliques seeded along a degeneracy ordering ----------
+#
+# Frozen copy of ``analysis.maximal_cliques`` as it was before the
+# degeneracy ordering and the per-vertex outer loop gave way to a single
+# pivoting Bron-Kerbosch call.  Both enumerate every maximal clique once
+# and sort the result, so their outputs must be equal.
+
+
+def _golden_degeneracy_order(neighbors: dict[str, set[str]]) -> list[str]:
+    degree = {v: len(ns) for v, ns in neighbors.items()}
+    remaining = set(neighbors)
+    order = []
+    while remaining:
+        v = min(remaining, key=lambda u: (degree[u], u))
+        order.append(v)
+        remaining.remove(v)
+        for w in neighbors[v]:
+            if w in remaining:
+                degree[w] -= 1
+    return order
+
+
+def golden_maximal_cliques(node_ids, edges) -> list[tuple[str, ...]]:
+    neighbors: dict[str, set[str]] = {v: set() for v in node_ids}
+    for u, v in edges:
+        if u == v:
+            continue
+        neighbors[u].add(v)
+        neighbors[v].add(u)
+    cliques: list[tuple[str, ...]] = []
+
+    def expand(r: set[str], p: set[str], x: set[str]) -> None:
+        if not p and not x:
+            cliques.append(tuple(sorted(r)))
+            return
+        pivot = max(sorted(p | x), key=lambda u: len(p & neighbors[u]))
+        for v in sorted(p - neighbors[pivot]):
+            expand(r | {v}, p & neighbors[v], x & neighbors[v])
+            p.remove(v)
+            x.add(v)
+
+    order = _golden_degeneracy_order(neighbors)
+    position = {v: i for i, v in enumerate(order)}
+    for v in order:
+        later = {w for w in neighbors[v] if position[w] > position[v]}
+        earlier = {w for w in neighbors[v] if position[w] < position[v]}
+        expand({v}, later, earlier)
+
+    cliques.sort(key=lambda c: (-len(c), c))
+    return cliques

@@ -17,6 +17,7 @@ from oracles import (
     floyd_warshall_average,
     golden_adjacency_stats,
     golden_interaction_degree_stats,
+    golden_maximal_cliques,
 )
 
 
@@ -51,6 +52,25 @@ def test_cliques_match_exhaustive_enumeration():
             len(ids), [(index[u], index[v]) for u, v in edges]
         )
         assert {frozenset(ids[i] for i in c) for c in expected} == got
+
+
+def test_cliques_match_golden_degeneracy_enumeration():
+    assert maximal_cliques([], []) == golden_maximal_cliques([], []) == []
+    assert maximal_cliques(["a"], []) == golden_maximal_cliques(["a"], []) == [("a",)]
+    rng = np.random.default_rng(67)
+    for i in range(300):
+        graphs = _graphs_of(random_dashboard(rng, f"g{i}"))
+        ids = [b.id for b in graphs.nodes]
+        pairs = [(e.source, e.target) for e in graphs.adjacency_edges]
+        assert maximal_cliques(ids, pairs) == golden_maximal_cliques(ids, pairs)
+    for _ in range(250):
+        n = int(rng.integers(2, 33))
+        density = rng.uniform(0.0, 0.9)
+        ids = [f"v{j}" for j in rng.permutation(n)]  # id order differs from index order
+        pairs = [
+            (ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < density
+        ]
+        assert maximal_cliques(ids, pairs) == golden_maximal_cliques(ids, pairs)
 
 
 def test_clique_maximality_and_coverage():
@@ -195,7 +215,7 @@ def test_stats_invariant_under_relabeling():
 
 
 def test_analysis_document_counts_cliques_both_ways():
-    from dashmine.model import AdjacencyConfig, AdjacencyKind, Connection
+    from dashmine.model import AdjacencyConfig, AdjacencyEdge
 
     # one edge a--b plus an isolated node
     graphs = DashboardGraphs(
@@ -205,7 +225,7 @@ def test_analysis_document_counts_cliques_both_ways():
             make_block("b", BlockType.CHART, 10, 0, 10, 10),
             make_block("iso", BlockType.MULTIMEDIA, 500, 500, 10, 10),
         ),
-        adjacency_edges=(Connection("a", "b", AdjacencyKind(AdjacencyConfig.ADJOINING)),),
+        adjacency_edges=(AdjacencyEdge("a", "b", AdjacencyConfig.ADJOINING),),
     )
     doc = analyze_graphs(graphs)
     assert doc["adjacency"]["n_maximal_cliques"] == 2  # {a,b} and {iso}

@@ -8,8 +8,10 @@ import pytest
 
 from dashmine.cli import main
 from dashmine.features import FeatureVector, default_manifest, matrix_to_csv
+from dashmine.geometry import build_graphs
+from dashmine.report import summarize_corpus
 
-from conftest import FIXTURES
+from conftest import FIXTURES, load_fixture
 
 
 def run_pipeline(workdir: Path, jobs: int = 1, min_cluster_size: int = 2) -> dict[str, bytes]:
@@ -86,6 +88,18 @@ def test_pipeline_is_byte_identical_across_jobs(tmp_path):
     assert first.keys() == second.keys()
     for name in first:
         assert first[name] == second[name], f"artifact {name} differs across --jobs"
+
+
+def test_report_stage_summary_equals_in_memory_summary(tmp_path):
+    # The graph documents between the stages must keep what the report
+    # reads, chart types included.
+    artifacts = run_pipeline(tmp_path)
+    written = json.loads(artifacts["summary.json"])
+    del written["_fingerprint"]
+    corpus = [build_graphs(load_fixture(f"fig_{x}")) for x in ("a", "b", "c")]
+    expected = json.loads(json.dumps(summarize_corpus(corpus).to_dict()))
+    assert written["chart_type_presence_shares"] == expected["chart_type_presence_shares"]
+    assert written == expected
 
 
 def test_artifacts_embed_fingerprint(tmp_path):

@@ -12,11 +12,10 @@ from dashmine.geometry import (
 )
 from dashmine.model import (
     AdjacencyConfig,
-    AdjacencyKind,
+    AdjacencyEdge,
     BlockType,
-    Connection,
     EdgeClass,
-    InteractionKind,
+    InteractionEdge,
     classify_interaction,
 )
 
@@ -145,7 +144,7 @@ def test_identical_stacked_rectangles_form_complete_graph():
     blocks = [rect_block(f"r{i}", 10, 10, 50, 50) for i in range(n)]
     edges = build_adjacency_graph(blocks)
     assert len(edges) == n * (n - 1) // 2
-    assert all(e.kind.config is AdjacencyConfig.CONTAINMENT for e in edges)
+    assert all(e.config is AdjacencyConfig.CONTAINMENT for e in edges)
 
 
 def test_adjacency_graph_order_independent():
@@ -158,12 +157,8 @@ def test_adjacency_graph_order_independent():
         assert build_adjacency_graph(perm) == edges
 
 
-def _interaction(source: str, target: str, itype: str = "filter") -> Connection:
-    return Connection(
-        source=source,
-        target=target,
-        kind=InteractionKind(itype=itype, edge_class=EdgeClass.CHART_TO_CHART),
-    )
+def _interaction(source: str, target: str, itype: str = "filter") -> InteractionEdge:
+    return InteractionEdge(source, target, itype, EdgeClass.CHART_TO_CHART)
 
 
 def test_interaction_graph_dedup_and_self_loops():
@@ -183,7 +178,7 @@ def test_interaction_graph_empty_for_static_dashboard(fig_graphs):
 def test_fig_a_has_twelve_chart_chart_edges(fig_graphs):
     edges = fig_graphs["fig_a"].interaction_edges
     assert len(edges) == 12
-    assert all(e.kind.edge_class is EdgeClass.CHART_TO_CHART for e in edges)
+    assert all(e.edge_class is EdgeClass.CHART_TO_CHART for e in edges)
 
 
 def test_max_possible_interactions():
@@ -239,13 +234,13 @@ def test_built_graphs_keep_their_invariants(fig_graphs):
         adjacency = [(e.source, e.target) for e in graphs.adjacency_edges]
         assert len(set(adjacency)) == len(adjacency)
         for edge in graphs.adjacency_edges:
-            assert isinstance(edge.kind, AdjacencyKind)
+            assert isinstance(edge, AdjacencyEdge)
             assert edge.source < edge.target  # canonical, no self-loop
             assert edge.source in by_id and edge.target in by_id
-        keys = [(e.source, e.target, e.kind.edge_class) for e in graphs.interaction_edges]
+        keys = [(e.source, e.target, e.edge_class) for e in graphs.interaction_edges]
         assert len(set(keys)) == len(keys)
         for edge in graphs.interaction_edges:
-            assert isinstance(edge.kind, InteractionKind)
+            assert isinstance(edge, InteractionEdge)
             assert edge.source != edge.target
             source, target = by_id[edge.source], by_id[edge.target]
-            assert classify_interaction(source.block_type, target.block_type) is edge.kind.edge_class
+            assert classify_interaction(source.block_type, target.block_type) is edge.edge_class

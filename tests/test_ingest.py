@@ -4,12 +4,10 @@ import pytest
 
 from dashmine.errors import MalformedDocument, SchemaViolation
 from dashmine.ingest import (
-    Worksheet,
     ZoneRecord,
     extract_actions,
     extract_blocks,
     filter_corpus,
-    infer_chart_type,
     parse_workbook,
 )
 from dashmine.model import (
@@ -129,16 +127,34 @@ def test_unknown_zone_kind_strict_vs_lenient():
     assert block.props == MultimediaProps(kind=MultimediaKind.OTHER)
 
 
-# --- infer_chart_type ----------------------------------------------------------
+# --- chart type inference at ingest --------------------------------------------
+
+RULE_TABLE_XML = b"""
+<workbook>
+  <worksheets>
+    <worksheet name="bar"><mark type="bar"/><encoding channel="column" field="Sales"/><encoding channel="row" field="Region"/></worksheet>
+    <worksheet name="geo"><mark type="circle"/><encoding channel="geo" field="State"/></worksheet>
+    <worksheet name="poly"><mark type="polygon"/><encoding channel="color" field="x"/></worksheet>
+  </worksheets>
+  <dashboards>
+    <dashboard id="d1">
+      <zone id="z1" type="chart" x="0" y="0" w="100" h="100" worksheet="bar"/>
+      <zone id="z2" type="chart" x="100" y="0" w="100" h="100" worksheet="geo"/>
+      <zone id="z3" type="chart" x="200" y="0" w="100" h="100" worksheet="poly"/>
+    </dashboard>
+  </dashboards>
+</workbook>
+"""
 
 
 def test_infer_chart_type_rule_table():
-    bar = Worksheet(name="w", marks=("bar",), encodings=(("column", "Sales"), ("row", "Region")))
-    assert infer_chart_type(bar) == ChartType("bar")
-    geo = Worksheet(name="w", marks=("circle",), encodings=(("geo", "State"),))
-    assert infer_chart_type(geo) == ChartType("map")
-    poly = Worksheet(name="w", marks=("polygon",), encodings=(("color", "x"),))
-    assert infer_chart_type(poly) == ChartType("polygon")
+    # chart blocks get their visualization type from the referenced worksheet
+    blocks = parse_workbook(RULE_TABLE_XML, format="xml").dashboards[0].blocks
+    assert {b.id: b.props.vis_type for b in blocks} == {
+        "z1": ChartType("bar"),
+        "z2": ChartType("map"),
+        "z3": ChartType("polygon"),
+    }
 
 
 # --- extract_actions ------------------------------------------------------------
@@ -160,8 +176,8 @@ def _dash_with_action(source_type: BlockType, target_type: BlockType) -> Dashboa
 def test_legend_to_chart_action():
     conns = extract_actions(_dash_with_action(BlockType.LEGEND, BlockType.CHART))
     assert len(conns) == 1
-    assert conns[0].kind.itype == "highlight"
-    assert conns[0].kind.edge_class is EdgeClass.LEGEND_TO_CHART
+    assert conns[0].itype == "highlight"
+    assert conns[0].edge_class is EdgeClass.LEGEND_TO_CHART
 
 
 def test_fig_c_actions_become_eight_connections(fig_c):
@@ -201,7 +217,7 @@ def test_edge_class_always_matches_endpoint_types():
             expected = classify_interaction(
                 by_id[conn.source].block_type, by_id[conn.target].block_type
             )
-            assert conn.kind.edge_class == expected
+            assert conn.edge_class == expected
 
 
 # --- filter_corpus ---------------------------------------------------------------

@@ -5,12 +5,11 @@ import numpy as np
 from dashmine.model import (
     ActionRecord,
     AdjacencyConfig,
-    AdjacencyKind,
+    AdjacencyEdge,
     Block,
     BlockType,
     ChartProps,
     ChartType,
-    Connection,
     Dashboard,
     TextProps,
     dashboard_from_dict,
@@ -117,9 +116,8 @@ def test_text_formatting_round_trips_as_map():
 
 
 def test_canonical_adjacency_edge_is_order_independent():
-    kind = AdjacencyKind(AdjacencyConfig.ADJOINING)
-    forward = Connection(*sorted(("b", "a")), kind=kind)
-    backward = Connection(*sorted(("a", "b")), kind=kind)
+    forward = AdjacencyEdge(*sorted(("b", "a")), AdjacencyConfig.ADJOINING)
+    backward = AdjacencyEdge(*sorted(("a", "b")), AdjacencyConfig.ADJOINING)
     assert forward == backward
     assert forward.source < forward.target
 
@@ -130,12 +128,13 @@ def test_graphs_doc_round_trip_preserves_structure(fig_graphs):
         back = graphs_from_dict(doc)
         assert [b.id for b in back.nodes] == [b.id for b in graphs.nodes]
         assert [b.block_type for b in back.nodes] == [b.block_type for b in graphs.nodes]
-        assert [(e.source, e.target, e.kind.config) for e in back.adjacency_edges] == [
-            (e.source, e.target, e.kind.config) for e in graphs.adjacency_edges
+        # chart nodes carry their visualization type; other nodes only id and type
+        assert [getattr(b.props, "vis_type", None) for b in back.nodes] == [
+            getattr(b.props, "vis_type", None) for b in graphs.nodes
         ]
-        assert [(e.source, e.target, e.kind.edge_class) for e in back.interaction_edges] == [
-            (e.source, e.target, e.kind.edge_class) for e in graphs.interaction_edges
-        ]
+        assert all(set(n) == {"id", "type"} for n in doc["nodes"] if n["type"] != "chart")
+        assert back.adjacency_edges == graphs.adjacency_edges
+        assert back.interaction_edges == graphs.interaction_edges
 
 
 def test_graph_node_sets_identical_everywhere():
@@ -152,6 +151,7 @@ def test_infer_vis_type_rules():
     assert infer_vis_type(["bar"], [("column", "Sales"), ("row", "Region")]) == ChartType("bar")
     assert infer_vis_type(["circle"], [("geo", "State")]) == ChartType("map")
     assert infer_vis_type(["polygon"], []) == ChartType("polygon")
+    assert infer_vis_type(["polygon"], [("color", "x")]) == ChartType("polygon")
     assert infer_vis_type(["line"], []) == ChartType("line")
     assert infer_vis_type(["text"], [("row", "a"), ("column", "b")]) == ChartType("table")
     assert infer_vis_type(["text"], [("row", "a")]) == ChartType("text")

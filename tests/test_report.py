@@ -128,7 +128,7 @@ def test_overlap_matches_nested_loop_oracle():
                     adjacency.target,
                 }:
                     brute += 1
-                    brute_classes[interaction.kind.edge_class.value] += 1
+                    brute_classes[interaction.edge_class.value] += 1
         assert count == brute
         assert by_class == brute_classes
         assert count <= len(graphs.interaction_edges)
