@@ -234,14 +234,21 @@ def _cmd_scale(args, out: _Outputs) -> int:
 
 
 def _parse_sweep(spec: str) -> list[int]:
-    if "=" in spec:
-        key, _, spec = spec.partition("=")
+    """``[min_cluster_size=]LO..HI[:STEP]`` -> the sizes LO, LO+STEP, ... <= HI."""
+    grid = spec
+    if "=" in grid:
+        key, _, grid = grid.partition("=")
         if key != "min_cluster_size":
             raise ValueError(f"unknown sweep parameter: {key!r}")
-    bounds, _, step = spec.partition(":")
+    bounds, _, step = grid.partition(":")
     lo, _, hi = bounds.partition("..")
     step_n = int(step) if step else 1
-    return list(range(int(lo), int(hi) + 1, step_n))
+    if step_n <= 0:
+        raise ValueError(f"sweep step must be positive: {spec!r}")
+    sizes = list(range(int(lo), int(hi) + 1, step_n))
+    if not sizes:
+        raise ValueError(f"sweep range is empty: {spec!r}")
+    return sizes
 
 
 def _cmd_cluster(args, out: _Outputs) -> int:

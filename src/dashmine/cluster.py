@@ -3,7 +3,8 @@
 The pipeline follows the classic hierarchical density-based scheme:
 
 1. core distance of each point = distance to its ``min_samples``-th
-   nearest neighbor (the point itself counts as the first),
+   nearest neighbor (the point itself counts as the first), computed
+   once per unique row over the unique rows weighted by multiplicity,
 2. mutual reachability d_mr(a, b) = max(core(a), core(b), d(a, b)),
 3. minimum spanning tree of the complete mutual-reachability graph
    (Prim's algorithm; each step measures the newest tree vertex against
@@ -12,6 +13,11 @@ The pipeline follows the classic hierarchical density-based scheme:
 5. condensation of the hierarchy at ``min_cluster_size``,
 6. excess-of-mass cluster selection by stability,
 7. points under no selected cluster are labeled noise (-1).
+
+Steps 1-4 depend on ``min_samples`` alone and build the hierarchy
+(:func:`_hierarchy`); steps 5-7 are the only ones that read
+``min_cluster_size`` (:func:`_select`), so a sweep over sizes shares one
+hierarchy per ``min_samples``.
 
 Distances are exact O(n^2); determinism everywhere via ascending-index
 tie-breaking.  A spatial index would speed up step 1-3 on large corpora
@@ -93,12 +99,26 @@ def _row_distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 
 def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
-    n = X.shape[0]
-    core = np.empty(n)
-    for i in range(n):
-        d = _row_distances(X, X[i])
-        core[i] = np.partition(d, min_samples - 1)[min_samples - 1]
-    return core
+    """Distance from each row to its ``min_samples``-th nearest row.
+
+    Identical rows share their distances, so each unique row is measured
+    against the unique rows only.  The ``min(min_samples, m)`` nearest of
+    them, ordered by (distance, index), hold the answer: it is the first
+    whose cumulative multiplicity reaches ``min_samples``.  Every value
+    is a ``_row_distances`` result, so the bits equal a per-row loop over
+    all n rows.
+    """
+    U, inverse, counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)
+    m = U.shape[0]
+    k = min(min_samples, m)
+    core_u = np.empty(m)
+    for u in range(m):
+        d = _row_distances(U, U[u])
+        nearest = np.sort(np.argpartition(d, k - 1)[:k])
+        nearest = nearest[np.argsort(d[nearest], kind="stable")]
+        reached = np.searchsorted(np.cumsum(counts[nearest]), min_samples)
+        core_u[u] = d[nearest[reached]]
+    return core_u[inverse.reshape(-1)]
 
 
 # Share of dead (already in-tree) entries in Prim's out-of-tree arrays at
@@ -316,25 +336,23 @@ def _assign_labels(
     return labels, cluster_ids
 
 
-def hdbscan(matrix: Any, params: ClusterParams = ClusterParams()) -> ClusterResult:
-    """Cluster rows of ``matrix``; see the module docstring for the steps.
-
-    Raises :class:`TooFewRows` when the matrix has fewer rows than
-    ``min_cluster_size`` (or than ``min_samples``) and
-    :class:`NonFiniteInput` on NaN/inf values.
-    """
-    X = _as_matrix(matrix)
-    n = X.shape[0]
-    min_samples = params.effective_min_samples
+def _check_rows(n: int, params: ClusterParams) -> None:
     if n < params.min_cluster_size:
         raise TooFewRows(f"{n} rows < min_cluster_size={params.min_cluster_size}")
-    if n < min_samples:
-        raise TooFewRows(f"{n} rows < min_samples={min_samples}")
+    if n < params.effective_min_samples:
+        raise TooFewRows(f"{n} rows < min_samples={params.effective_min_samples}")
 
+
+def _hierarchy(X: np.ndarray, min_samples: int) -> np.ndarray:
+    """Steps 1-4: the single-linkage dendrogram of mutual reachability."""
     core = _core_distances(X, min_samples)
-    mst = _mutual_reachability_mst(X, core)
-    Z = _single_linkage(mst)
-    rows = _condense(Z, params.min_cluster_size)
+    return _single_linkage(_mutual_reachability_mst(X, core))
+
+
+def _select(Z: np.ndarray, min_cluster_size: int) -> ClusterResult:
+    """Steps 5-7: condense ``Z`` at ``min_cluster_size`` and label."""
+    n = Z.shape[0] + 1
+    rows = _condense(Z, min_cluster_size)
     stability = _compute_stability(rows, n)
     selected = _select_eom(rows, stability, n)
     labels, cluster_ids = _assign_labels(rows, selected, n)
@@ -347,6 +365,18 @@ def hdbscan(matrix: Any, params: ClusterParams = ClusterParams()) -> ClusterResu
         cluster_ids=cluster_ids,
         n_points=n,
     )
+
+
+def hdbscan(matrix: Any, params: ClusterParams = ClusterParams()) -> ClusterResult:
+    """Cluster rows of ``matrix``; see the module docstring for the steps.
+
+    Raises :class:`TooFewRows` when the matrix has fewer rows than
+    ``min_cluster_size`` (or than ``min_samples``) and
+    :class:`NonFiniteInput` on NaN/inf values.
+    """
+    X = _as_matrix(matrix)
+    _check_rows(X.shape[0], params)
+    return _select(_hierarchy(X, params.effective_min_samples), params.min_cluster_size)
 
 
 # Rows of one cluster whose distances silhouette computes and reduces
@@ -437,10 +467,25 @@ def export_dendrogram(result: ClusterResult) -> dict[str, Any]:
 def sweep_min_cluster_size(
     matrix: Any, sizes: Sequence[int], min_samples: int | None = None
 ) -> list[dict[str, Any]]:
-    """Grid sweep over min_cluster_size: cluster count and coverage each."""
+    """Grid sweep over min_cluster_size: cluster count and coverage each.
+
+    Each setting equals :func:`hdbscan` run alone at that size.  Core
+    distances, the MST and the single-linkage hierarchy depend on
+    ``min_samples`` only, so they are built once per distinct effective
+    ``min_samples``: once for the whole sweep when ``min_samples`` is
+    given, once per size when it defaults to the size.  Condensation and
+    selection run per size.
+    """
+    X = _as_matrix(matrix)
+    hierarchies: dict[int, np.ndarray] = {}
     results = []
     for size in sizes:
-        outcome = hdbscan(matrix, ClusterParams(min_cluster_size=size, min_samples=min_samples))
+        params = ClusterParams(min_cluster_size=size, min_samples=min_samples)
+        _check_rows(X.shape[0], params)
+        ms = params.effective_min_samples
+        if ms not in hierarchies:
+            hierarchies[ms] = _hierarchy(X, ms)
+        outcome = _select(hierarchies[ms], size)
         covered = int((outcome.labels != NOISE).sum())
         results.append(
             {

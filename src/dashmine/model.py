@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Iterable, Mapping, Union
 
+from .errors import SchemaViolation
+
 
 class BlockType(str, Enum):
     """The five kinds of visual element a dashboard block can be."""
@@ -443,7 +445,8 @@ def graphs_from_dict(obj: Mapping[str, Any]) -> DashboardGraphs:
 
     Node positions are absent from graph documents, so nodes are
     reconstructed as unit squares of the recorded type; a chart node
-    gets back its ``vis_type`` and no other props.
+    gets back its ``vis_type`` and no other props.  An edge whose
+    endpoint is not a node raises :class:`SchemaViolation`.
     """
     nodes = []
     for n in obj.get("nodes", ()):
@@ -474,8 +477,17 @@ def graphs_from_dict(obj: Mapping[str, Any]) -> DashboardGraphs:
         )
         for e in obj.get("interaction", ())
     )
+    dashboard_id = str(obj["dashboard_id"])
+    node_ids = {b.id for b in nodes}
+    for kind, edges in (("adjacency", adjacency), ("interaction", interaction)):
+        for e in edges:
+            if e.source not in node_ids or e.target not in node_ids:
+                raise SchemaViolation(
+                    f"dashboard {dashboard_id!r}: {kind} edge {e.source!r} -> {e.target!r}"
+                    " has an endpoint that is not a node"
+                )
     return DashboardGraphs(
-        dashboard_id=str(obj["dashboard_id"]),
+        dashboard_id=dashboard_id,
         nodes=tuple(nodes),
         adjacency_edges=adjacency,
         interaction_edges=interaction,

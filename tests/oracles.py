@@ -188,14 +188,25 @@ def brute_silhouette(points, labels) -> dict[int, float] | None:
 #
 # Frozen copies of ``cluster._mutual_reachability_mst`` and
 # ``cluster.silhouette`` as they were before Prim was restricted to the
-# out-of-tree vertices and silhouette was reduced in tiles.  They are not
-# independent oracles: they use the same distance kernel on purpose, so
-# the rewrites can be held to bit-for-bit equality with them.
+# out-of-tree vertices and silhouette was reduced in tiles, and of
+# ``cluster._core_distances`` as it was before it ran over unique rows.
+# They are not independent oracles: they use the same distance kernel on
+# purpose, so the rewrites can be held to bit-for-bit equality with them.
 
 
 def _golden_row_distances(X: np.ndarray, i: int) -> np.ndarray:
     diff = X - X[i]
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
+
+
+def golden_core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
+    """Per-row loop: partition each full distance row."""
+    n = X.shape[0]
+    core = np.empty(n)
+    for i in range(n):
+        d = _golden_row_distances(X, i)
+        core[i] = np.partition(d, min_samples - 1)[min_samples - 1]
+    return core
 
 
 def golden_mutual_reachability_mst(X: np.ndarray, core: np.ndarray) -> np.ndarray:

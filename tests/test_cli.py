@@ -182,6 +182,24 @@ def test_later_stages_reject_unsafe_and_duplicate_ids(tmp_path):
         assert not out.exists()
 
 
+def test_analyze_and_lint_reject_edge_to_missing_node(tmp_path, capsys):
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    doc = {
+        "dashboard_id": "d1",
+        "nodes": [{"id": "c", "type": "chart"}],
+        "adjacency": [{"source": "c", "target": "zz", "config": "adjoining"}],
+    }
+    (graphs / "d1.graph.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    for stage in ("analyze", "lint"):
+        assert main([stage, "--input", str(graphs), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (error["error"], error["stage"]) == ("SchemaViolation", stage)
+        assert "'d1'" in error["message"] and "'zz'" in error["message"]
+        assert not out.exists()
+
+
 def test_lenient_mode_downgrades_unknown_zone(tmp_path):
     wb = tmp_path / "odd.xml"
     wb.write_text(
@@ -263,6 +281,23 @@ def test_cluster_sweep(tmp_path):
     doc = json.loads((out / "sweep.json").read_text())
     assert [row["min_cluster_size"] for row in doc["settings"]] == [2, 3]
 
+
+@pytest.mark.parametrize(
+    "spec",
+    ["min_cluster_size=40..20", "20..40:-5", "min_cluster_size=20..40:0"],
+)
+def test_cluster_sweep_rejects_empty_range_and_bad_step(tmp_path, capsys, spec):
+    matrix = tmp_path / "features_scaled.csv"
+    manifest = default_manifest()
+    width = len(manifest.names)
+    rows = [FeatureVector(f"d{i}", (float(i % 3),) * width, scaled=True) for i in range(30)]
+    matrix.write_text(matrix_to_csv(rows, manifest))
+    out = tmp_path / "out"
+    assert main(["cluster", "--input", str(matrix), "--sweep", spec, "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (error["error"], error["stage"]) == ("ValueError", "cluster")
+    assert repr(spec) in error["message"]
+    assert not (out / "sweep.json").exists()
 
 
 def test_labels_csv_round_trips_ids_with_commas(tmp_path):

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from dashmine import cluster
 from dashmine.cluster import (
     ClusterParams,
     _mutual_reachability_mst,
@@ -19,6 +20,7 @@ from dashmine.errors import FewerThanTwoClusters, NonFiniteInput, TooFewRows
 from conftest import blob_matrix, canonical_partition
 from oracles import (
     brute_silhouette,
+    golden_core_distances,
     golden_mutual_reachability_mst,
     golden_silhouette,
     mutual_reachability_matrix,
@@ -172,6 +174,74 @@ def test_mst_is_bit_identical_to_golden_prim():
             mst = _mutual_reachability_mst(X, core)
             expected = golden_mutual_reachability_mst(X, core)
             assert np.array_equal(mst, expected), (n, min_samples)
+
+
+def _duplicate_heavy_matrix(rng, n: int, n_distinct: int, width: int = 19) -> np.ndarray:
+    """``n`` rows drawn from ``n_distinct`` rows of scaled-feature-like
+    values, so most rows repeat and multiplicities vary."""
+    base = np.round(rng.normal(size=(n_distinct, width)), 2)
+    return base[rng.integers(0, n_distinct, size=n)]
+
+
+def test_core_distances_are_bit_identical_to_golden_per_row_loop():
+    rng = np.random.default_rng(23)
+    matrices = [rng.integers(-1, 2, size=(n, 3)).astype(float) for n in range(2, 61)]
+    matrices += [_tie_heavy_matrix(rng, n) for n in (2, 7, 31, 60)]
+    matrices += [_duplicate_heavy_matrix(rng, n, d) for n, d in ((40, 3), (80, 12), (100, 40))]
+    matrices.append(np.full((25, 19), 0.75))  # every row identical
+    for X in matrices:
+        n = X.shape[0]
+        for min_samples in range(1, n + 1):
+            got = _core_distances(X, min_samples)
+            assert np.array_equal(got, golden_core_distances(X, min_samples)), (n, min_samples)
+
+
+def test_sweep_rows_equal_hdbscan_run_alone():
+    X, _ = blob_matrix(21, CENTERS_3, per_blob=50, background=40)
+    sizes = [4, 8, 15, 30, 60]
+    for min_samples in (6, None):
+        rows = sweep_min_cluster_size(X, sizes, min_samples=min_samples)
+        assert [r["min_cluster_size"] for r in rows] == sizes
+        for size, row in zip(sizes, rows):
+            alone = hdbscan(X, ClusterParams(min_cluster_size=size, min_samples=min_samples))
+            coverage = int((alone.labels != -1).sum()) / alone.labels.shape[0]
+            assert (row["n_clusters"], row["coverage"]) == (alone.n_clusters, coverage)
+
+
+def test_sweep_raises_too_few_rows_at_the_same_setting():
+    X, _ = blob_matrix(22, CENTERS_3, per_blob=10, background=0)  # 30 rows
+    cases = [
+        ([10, 20, 40, 50], None, "30 rows < min_cluster_size=40"),
+        ([10, 20], 31, "30 rows < min_samples=31"),
+        ([5, 31], 31, "30 rows < min_samples=31"),
+        ([20, 25, 31], 3, "30 rows < min_cluster_size=31"),
+    ]
+    for sizes, min_samples, message in cases:
+        with pytest.raises(TooFewRows) as info:
+            sweep_min_cluster_size(X, sizes, min_samples=min_samples)
+        assert str(info.value) == message
+
+
+def test_sweep_builds_hierarchy_once_per_min_samples(monkeypatch):
+    calls = {"core": 0, "mst": 0}
+
+    def counted(key, fn):
+        def wrapper(*args):
+            calls[key] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(cluster, "_core_distances", counted("core", cluster._core_distances))
+    monkeypatch.setattr(
+        cluster, "_mutual_reachability_mst", counted("mst", cluster._mutual_reachability_mst)
+    )
+    X, _ = blob_matrix(24, CENTERS_3, per_blob=30, background=10)
+    sizes = [5, 10, 15, 20]
+    sweep_min_cluster_size(X, sizes, min_samples=5)
+    assert calls == {"core": 1, "mst": 1}
+    sweep_min_cluster_size(X, sizes)
+    assert calls == {"core": 1 + len(sizes), "mst": 1 + len(sizes)}
 
 
 def test_stability_dominates_selected_descendants():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from dashmine.model import (
     ActionRecord,
@@ -19,6 +20,7 @@ from dashmine.model import (
     infer_vis_type,
     validate,
 )
+from dashmine.errors import SchemaViolation
 from dashmine.geometry import build_graphs
 
 from conftest import make_block, random_dashboard
@@ -135,6 +137,21 @@ def test_graphs_doc_round_trip_preserves_structure(fig_graphs):
         assert all(set(n) == {"id", "type"} for n in doc["nodes"] if n["type"] != "chart")
         assert back.adjacency_edges == graphs.adjacency_edges
         assert back.interaction_edges == graphs.interaction_edges
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        {"adjacency": [{"source": "c", "target": "zz", "config": "adjoining"}]},
+        {"interaction": [{"source": "zz", "target": "c", "itype": "filter", "class": "chart_chart"}]},
+    ],
+)
+def test_graphs_doc_rejects_edge_to_missing_node(edges):
+    doc = {"dashboard_id": "d1", "nodes": [{"id": "c", "type": "chart"}]} | edges
+    with pytest.raises(SchemaViolation) as info:
+        graphs_from_dict(doc)
+    assert "'d1'" in str(info.value) and "'zz'" in str(info.value)
+    assert ("adjacency" in edges) == ("adjacency edge" in str(info.value))
 
 
 def test_graph_node_sets_identical_everywhere():
