@@ -41,14 +41,7 @@ from .geometry import (
     detect_adjacency,
     max_possible_interactions,
 )
-from .ingest import (
-    Workbook,
-    Worksheet,
-    extract_actions,
-    extract_blocks,
-    filter_corpus,
-    parse_workbook,
-)
+from .ingest import Worksheet, filter_corpus, parse_workbook
 from .model import (
     ActionRecord,
     AdjacencyConfig,

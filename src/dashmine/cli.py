@@ -17,7 +17,8 @@ fingerprint of the semantic configuration that produced it, so a
 pipeline rerun with the same inputs is byte-identical.  Dashboard ids
 name per-dashboard files, so every stage that reads dashboards or graph
 files rejects ids that are repeated or not safe as file names.
-Failures print a machine-readable JSON error on stderr, remove partial
+Artifacts are written atomically (temp file, then rename).  Failures
+print a machine-readable JSON error on stderr, remove the stage's earlier
 outputs and exit with status 2.  The defaults of
 ``--out``, ``--format``, ``--min-charts``, ``--tolerance`` and
 ``--min-cluster-size`` can be overridden with a ``DASHMINE_<OPTION>``
@@ -64,8 +65,16 @@ class _Outputs:
         self.paths: list[Path] = []
 
     def write_text(self, path: Path, text: str) -> None:
+        """Write through a temp file in the same directory, then rename it
+        into place, so a failed write never leaves a partial artifact."""
         path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(text, encoding="utf-8")
+        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+        try:
+            tmp.write_text(text, encoding="utf-8")
+            os.replace(tmp, path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
         self.paths.append(path)
 
     def write_json(self, path: Path, doc: Any) -> None:
@@ -137,14 +146,14 @@ def _cmd_parse(args, out: _Outputs) -> int:
         fmt = args.format
         if fmt == "auto":
             fmt = "json" if path.suffix == ".json" else "xml"
-        workbook = ingest.parse_workbook(path.read_bytes(), format=fmt, strict=not args.lenient)
-        for dashboard in workbook.dashboards:
+        parsed = ingest.parse_workbook(path.read_bytes(), format=fmt, strict=not args.lenient)
+        for dashboard in parsed:
             violations = model.validate(dashboard)
             if violations and not args.lenient:
                 raise SchemaViolation(
                     "; ".join(violations), path=f"{path.name}:{dashboard.id}"
                 )
-        dashboards.extend(workbook.dashboards)
+        dashboards.extend(parsed)
     _check_ids([d.id for d in dashboards])
     dashboards = ingest.filter_corpus(dashboards, min_charts=args.min_charts)
 

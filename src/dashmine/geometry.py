@@ -11,14 +11,17 @@ adjoining:
 * adjoining: disjoint interiors separated along exactly one axis by a
   gap of at most the tolerance, with positive projection overlap on the
   other axis.  Corner-touching pairs are NOT adjacent.
+
+:func:`build_interaction_graph` is the one place where declared actions
+become interaction edges.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import MutableMapping, Sequence
 
-from .ingest import extract_actions
+from .errors import SchemaViolation
 from .model import (
     AdjacencyConfig,
     AdjacencyEdge,
@@ -27,6 +30,7 @@ from .model import (
     Dashboard,
     DashboardGraphs,
     InteractionEdge,
+    classify_interaction,
 )
 
 DEFAULT_TOLERANCE_PX = 10
@@ -86,28 +90,41 @@ def build_adjacency_graph(
 
 
 def build_interaction_graph(
-    blocks: Sequence[Block], declared: Iterable[InteractionEdge]
+    dashboard: Dashboard, counters: MutableMapping[str, int] | None = None
 ) -> list[InteractionEdge]:
-    """Prune declared interaction edges into a simple directed graph.
+    """Turn declared actions into a simple directed interaction graph.
 
-    Self-loops are removed and duplicates collapse on
-    (source, target, edge class); the declared interaction type of the
-    first occurrence is kept.  Output is sorted by
-    (source, target, edge class).
+    Each action in declaration order: an endpoint id that is not a block
+    raises :class:`SchemaViolation`; the edge class is derived from the
+    endpoint block types, and actions whose endpoints form none of the
+    three supported classes are dropped (counted under
+    ``counters["dropped"]`` when a mapping is given); self-loops are
+    removed; duplicates collapse on (source, target, edge class), keeping
+    the declared interaction type of the first occurrence.  Output is
+    sorted by (source, target, edge class).
     """
-    ids = {b.id for b in blocks}
+    by_id = dashboard.blocks_by_id()
     seen: set[tuple[str, str, str]] = set()
     edges = []
-    for edge in declared:
-        if edge.source == edge.target:
+    for action in dashboard.declared_interactions:
+        for endpoint in (action.source, action.target):
+            if endpoint not in by_id:
+                raise SchemaViolation(
+                    f"action references unknown block: {endpoint}",
+                    f"dashboard[{dashboard.id}]",
+                )
+        edge_class = classify_interaction(
+            by_id[action.source].block_type, by_id[action.target].block_type
+        )
+        if edge_class is None:
+            if counters is not None:
+                counters["dropped"] = counters.get("dropped", 0) + 1
             continue
-        if edge.source not in ids or edge.target not in ids:
-            raise ValueError(f"interaction endpoint not among blocks: {edge.source}->{edge.target}")
-        key = (edge.source, edge.target, edge.edge_class.value)
-        if key in seen:
+        key = (action.source, action.target, edge_class.value)
+        if action.source == action.target or key in seen:
             continue
         seen.add(key)
-        edges.append(edge)
+        edges.append(InteractionEdge(action.source, action.target, action.action_type, edge_class))
     edges.sort(key=lambda e: (e.source, e.target, e.edge_class.value))
     return edges
 
@@ -127,11 +144,18 @@ def max_possible_interactions(blocks: Sequence[Block]) -> int:
 
 
 def build_graphs(dashboard: Dashboard, tol: Tolerance = Tolerance()) -> DashboardGraphs:
-    """Derive the adjacency and interaction graphs of one dashboard."""
-    declared = extract_actions(dashboard)
+    """Derive the adjacency and interaction graphs of one dashboard.
+
+    Both graphs are keyed by block id, so a repeated id raises :class:`SchemaViolation`.
+    """
+    ids: set[str] = set()
+    for block in dashboard.blocks:
+        if block.id in ids:
+            raise SchemaViolation(f"dashboard {dashboard.id!r}: repeated block id {block.id!r}")
+        ids.add(block.id)
     return DashboardGraphs(
         dashboard_id=dashboard.id,
         nodes=dashboard.blocks,
         adjacency_edges=tuple(build_adjacency_graph(dashboard.blocks, tol)),
-        interaction_edges=tuple(build_interaction_graph(dashboard.blocks, declared)),
+        interaction_edges=tuple(build_interaction_graph(dashboard)),
     )

@@ -8,6 +8,11 @@ Two input formats are supported:
 * the canonical per-dashboard JSON interchange format defined in
   :mod:`dashmine.model`.
 
+:func:`parse_workbook` returns the document's dashboards.  Each ``<zone>``
+maps straight to a block; datasources are checked but not kept.  Actions
+stay raw records: :func:`dashmine.geometry.build_interaction_graph` alone
+turns them into interaction edges.
+
 Parsing is strict by default: unknown zone kinds and dangling references
 raise :class:`~dashmine.errors.SchemaViolation`.  Lenient mode downgrades
 unknown zone kinds to multimedia blocks so heterogeneous corpora survive
@@ -18,7 +23,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping, MutableMapping, Sequence
+from typing import IO, Iterable, Mapping
 from xml.etree import ElementTree as ET
 
 from .errors import MalformedDocument, SchemaViolation
@@ -29,25 +34,16 @@ from .model import (
     ChartProps,
     Dashboard,
     FilterProps,
-    InteractionEdge,
     LegendProps,
     MultimediaKind,
     MultimediaProps,
     TextProps,
     WidgetType,
-    classify_interaction,
     dashboard_from_dict,
     infer_vis_type,
 )
 
-WORKSHEET_MARKS = ("bar", "line", "circle", "polygon", "text", "square", "pie")
 ENCODING_CHANNELS = ("row", "column", "color", "size", "label", "detail", "geo")
-
-
-@dataclass(frozen=True)
-class DataSource:
-    name: str
-    attributes: tuple[tuple[str, str], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -59,49 +55,29 @@ class Worksheet:
     encodings: tuple[tuple[str, str], ...] = ()
 
 
-@dataclass(frozen=True)
-class Workbook:
-    datasources: tuple[DataSource, ...] = ()
-    worksheets: tuple[Worksheet, ...] = ()
-    dashboards: tuple[Dashboard, ...] = ()
-
-
-@dataclass(frozen=True)
-class ZoneRecord:
-    """Raw attributes of one dashboard zone, straight from the document."""
-
-    id: str
-    kind: str
-    x: int
-    y: int
-    w: int
-    h: int
-    worksheet: str | None = None
-    field: str | None = None
-    widget: str | None = None
-    channel: str | None = None
-    media_kind: str | None = None
-    text: str = ""
-
-
 # Zone kinds accepted by the XML subset.  Hyphenated legend kinds such as
 # "color-legend" carry the channel in the prefix.
 _MEDIA_ZONE_KINDS = {"image": MultimediaKind.IMAGE, "webpage": MultimediaKind.WEBPAGE}
 
 
 def _block_from_zone(
-    zone: ZoneRecord,
+    element: ET.Element,
     worksheets: Mapping[str, Worksheet],
     path: str,
     strict: bool,
 ) -> Block:
-    kind = zone.kind
+    """Map one ``<zone>`` element to a block; an unknown kind fails only in strict mode."""
+    # This order fixes which missing attribute a faulty zone reports.
+    zone_id = _require(element, "id", path)
+    kind = _require(element, "type", path)
+    x, y, w, h = (_int_attr(element, attr, path) for attr in ("x", "y", "w", "h"))
     if kind == "chart":
-        if not zone.worksheet:
+        worksheet_name = element.get("worksheet")
+        if not worksheet_name:
             raise SchemaViolation("chart zone without worksheet reference", path)
-        worksheet = worksheets.get(zone.worksheet)
+        worksheet = worksheets.get(worksheet_name)
         if worksheet is None:
-            raise SchemaViolation(f"unknown worksheet: {zone.worksheet}", path)
+            raise SchemaViolation(f"unknown worksheet: {worksheet_name}", path)
         props = ChartProps(
             vis_type=infer_vis_type(worksheet.marks, worksheet.encodings),
             marks=worksheet.marks,
@@ -109,18 +85,18 @@ def _block_from_zone(
         )
         block_type = BlockType.CHART
     elif kind == "text":
-        props = TextProps(content=zone.text)
+        props = TextProps(content=(element.text or "").strip())
         block_type = BlockType.TEXT
     elif kind == "filter":
-        widget = zone.widget or "other"
+        widget = element.get("widget") or "other"
         try:
             widget_type = WidgetType(widget)
         except ValueError:
             widget_type = WidgetType.OTHER
-        props = FilterProps(widget=widget_type, field=zone.field or "")
+        props = FilterProps(widget=widget_type, field=element.get("field") or "")
         block_type = BlockType.FILTER
     elif kind == "legend" or kind.endswith("-legend"):
-        channel = zone.channel or (kind[: -len("-legend")] if kind.endswith("-legend") else "color")
+        channel = element.get("channel") or (kind[: -len("-legend")] if kind.endswith("-legend") else "color")
         props = LegendProps(channel=channel)
         block_type = BlockType.LEGEND
     elif kind in _MEDIA_ZONE_KINDS:
@@ -128,7 +104,7 @@ def _block_from_zone(
         block_type = BlockType.MULTIMEDIA
     elif kind == "multimedia":
         try:
-            media = MultimediaKind(zone.media_kind or "image")
+            media = MultimediaKind(element.get("kind") or "image")
         except ValueError:
             media = MultimediaKind.OTHER
         props = MultimediaProps(kind=media)
@@ -138,62 +114,7 @@ def _block_from_zone(
     else:
         props = MultimediaProps(kind=MultimediaKind.OTHER)
         block_type = BlockType.MULTIMEDIA
-    return Block(
-        id=zone.id,
-        block_type=block_type,
-        x=zone.x,
-        y=zone.y,
-        w=zone.w,
-        h=zone.h,
-        props=props,
-    )
-
-
-def extract_blocks(
-    zones: Sequence[ZoneRecord],
-    worksheets: Mapping[str, Worksheet],
-    strict: bool = True,
-    path: str = "dashboard",
-) -> list[Block]:
-    """Map zone records to blocks, one per zone.
-
-    Unknown zone kinds raise :class:`SchemaViolation` in strict mode and
-    become ``multimedia/other`` blocks in lenient mode.
-    """
-    return [
-        _block_from_zone(zone, worksheets, f"{path}/zone[{i}]", strict)
-        for i, zone in enumerate(zones)
-    ]
-
-
-def extract_actions(
-    dashboard: Dashboard, counters: MutableMapping[str, int] | None = None
-) -> list[InteractionEdge]:
-    """Turn declared action records into typed interaction edges.
-
-    The edge class is derived from the endpoint block types; actions whose
-    endpoints do not form one of the three supported classes are dropped
-    (and counted under ``counters["dropped"]`` when a mapping is given).
-    Dangling endpoint ids raise :class:`SchemaViolation`.
-    """
-    by_id = dashboard.blocks_by_id()
-    edges: list[InteractionEdge] = []
-    for action in dashboard.declared_interactions:
-        for endpoint in (action.source, action.target):
-            if endpoint not in by_id:
-                raise SchemaViolation(
-                    f"action references unknown block: {endpoint}",
-                    f"dashboard[{dashboard.id}]",
-                )
-        edge_class = classify_interaction(
-            by_id[action.source].block_type, by_id[action.target].block_type
-        )
-        if edge_class is None:
-            if counters is not None:
-                counters["dropped"] = counters.get("dropped", 0) + 1
-            continue
-        edges.append(InteractionEdge(action.source, action.target, action.action_type, edge_class))
-    return edges
+    return Block(id=zone_id, block_type=block_type, x=x, y=y, w=w, h=h, props=props)
 
 
 def filter_corpus(dashboards: Iterable[Dashboard], min_charts: int = 2) -> list[Dashboard]:
@@ -240,23 +161,6 @@ def _parse_worksheet(element: ET.Element, path: str) -> Worksheet:
     return Worksheet(name=name, marks=marks, encodings=encodings)
 
 
-def _parse_zone(element: ET.Element, path: str) -> ZoneRecord:
-    return ZoneRecord(
-        id=_require(element, "id", path),
-        kind=_require(element, "type", path),
-        x=_int_attr(element, "x", path),
-        y=_int_attr(element, "y", path),
-        w=_int_attr(element, "w", path),
-        h=_int_attr(element, "h", path),
-        worksheet=element.get("worksheet"),
-        field=element.get("field"),
-        widget=element.get("widget"),
-        channel=element.get("channel"),
-        media_kind=element.get("kind"),
-        text=(element.text or "").strip(),
-    )
-
-
 def _parse_dashboard_xml(
     element: ET.Element,
     worksheets: Mapping[str, Worksheet],
@@ -264,13 +168,15 @@ def _parse_dashboard_xml(
     strict: bool,
 ) -> Dashboard:
     dash_id = _require(element, "id", path)
-    zones = [_parse_zone(z, f"{path}/zone[{i}]") for i, z in enumerate(element.findall("zone"))]
+    blocks = []
     ids: set[str] = set()
-    for i, zone in enumerate(zones):
-        if zone.id in ids:
-            raise SchemaViolation(f"duplicate zone id: {zone.id}", f"{path}/zone[{i}]")
-        ids.add(zone.id)
-    blocks = extract_blocks(zones, worksheets, strict=strict, path=path)
+    for i, zone in enumerate(element.findall("zone")):
+        zpath = f"{path}/zone[{i}]"
+        block = _block_from_zone(zone, worksheets, zpath, strict)
+        if block.id in ids:
+            raise SchemaViolation(f"duplicate zone id: {block.id}", zpath)
+        ids.add(block.id)
+        blocks.append(block)
     actions = []
     for i, a in enumerate(element.findall("action")):
         apath = f"{path}/action[{i}]"
@@ -283,18 +189,20 @@ def _parse_dashboard_xml(
             if endpoint not in ids:
                 raise SchemaViolation(f"action references unknown zone: {endpoint}", apath)
         actions.append(record)
-    width = element.get("width")
-    height = element.get("height")
+    width, height = (
+        _int_attr(element, attr, path) if attr in element.attrib else None
+        for attr in ("width", "height")
+    )
     return Dashboard(
         id=dash_id,
         blocks=tuple(blocks),
         declared_interactions=tuple(actions),
-        width=int(width) if width is not None else None,
-        height=int(height) if height is not None else None,
+        width=width,
+        height=height,
     )
 
 
-def _parse_workbook_xml(data: bytes, strict: bool) -> Workbook:
+def _parse_workbook_xml(data: bytes, strict: bool) -> tuple[Dashboard, ...]:
     try:
         root = ET.fromstring(data)
     except ET.ParseError as exc:
@@ -303,37 +211,28 @@ def _parse_workbook_xml(data: bytes, strict: bool) -> Workbook:
     if root.tag != "workbook":
         raise SchemaViolation(f"expected <workbook> root, found <{root.tag}>", "/")
 
-    datasources = []
+    # Datasources must be well-formed, but nothing downstream reads them.
     for i, ds in enumerate(root.iterfind("datasources/datasource")):
         path = f"datasources/datasource[{i}]"
-        attributes = tuple(
-            (_require(a, "name", path), _require(a, "datatype", path))
-            for a in ds.findall("attribute")
-        )
-        datasources.append(DataSource(name=_require(ds, "name", path), attributes=attributes))
+        for a in ds.findall("attribute"):
+            _require(a, "name", path)
+            _require(a, "datatype", path)
+        _require(ds, "name", path)
 
-    worksheets = []
-    names: set[str] = set()
+    worksheets: dict[str, Worksheet] = {}
     for i, ws in enumerate(root.iterfind("worksheets/worksheet")):
         worksheet = _parse_worksheet(ws, f"worksheets/worksheet[{i}]")
-        if worksheet.name in names:
+        if worksheet.name in worksheets:
             raise SchemaViolation(f"duplicate worksheet name: {worksheet.name}", "worksheets")
-        names.add(worksheet.name)
-        worksheets.append(worksheet)
-    by_name = {w.name: w for w in worksheets}
+        worksheets[worksheet.name] = worksheet
 
-    dashboards = tuple(
-        _parse_dashboard_xml(d, by_name, f"dashboards/dashboard[{i}]", strict)
+    return tuple(
+        _parse_dashboard_xml(d, worksheets, f"dashboards/dashboard[{i}]", strict)
         for i, d in enumerate(root.iterfind("dashboards/dashboard"))
     )
-    return Workbook(
-        datasources=tuple(datasources),
-        worksheets=tuple(worksheets),
-        dashboards=dashboards,
-    )
 
 
-def _parse_workbook_json(data: bytes) -> Workbook:
+def _parse_workbook_json(data: bytes) -> tuple[Dashboard, ...]:
     try:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
@@ -342,16 +241,15 @@ def _parse_workbook_json(data: bytes) -> Workbook:
         dashboard = dashboard_from_dict(obj)
     except (KeyError, TypeError, ValueError) as exc:
         raise SchemaViolation(f"canonical dashboard document invalid: {exc}") from exc
-    return Workbook(dashboards=(dashboard,))
+    return (dashboard,)
 
 
-def parse_workbook(document: bytes | str | IO[bytes], format: str = "xml", strict: bool = True) -> Workbook:
-    """Parse a workbook document.
+def parse_workbook(document: bytes | str | IO[bytes], format: str = "xml", strict: bool = True) -> tuple[Dashboard, ...]:
+    """Parse a workbook document into its dashboards, in document order.
 
     ``format`` selects the grammar: ``"xml"`` for the workbook XML subset
-    or ``"json"`` for a single canonical dashboard document (wrapped in a
-    dashboard-only workbook).  Identical bytes always yield an identical
-    workbook.
+    or ``"json"`` for a single canonical dashboard document (one
+    dashboard).  Identical bytes always yield identical dashboards.
     """
     if hasattr(document, "read"):
         data = document.read()

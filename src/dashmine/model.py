@@ -445,8 +445,8 @@ def graphs_from_dict(obj: Mapping[str, Any]) -> DashboardGraphs:
 
     Node positions are absent from graph documents, so nodes are
     reconstructed as unit squares of the recorded type; a chart node
-    gets back its ``vis_type`` and no other props.  An edge whose
-    endpoint is not a node raises :class:`SchemaViolation`.
+    gets back its ``vis_type`` and no other props.  A repeated node id,
+    or an edge whose endpoint is not a node, raises :class:`SchemaViolation`.
     """
     nodes = []
     for n in obj.get("nodes", ()):
@@ -478,7 +478,11 @@ def graphs_from_dict(obj: Mapping[str, Any]) -> DashboardGraphs:
         for e in obj.get("interaction", ())
     )
     dashboard_id = str(obj["dashboard_id"])
-    node_ids = {b.id for b in nodes}
+    node_ids: set[str] = set()
+    for b in nodes:
+        if b.id in node_ids:
+            raise SchemaViolation(f"dashboard {dashboard_id!r}: repeated node id {b.id!r}")
+        node_ids.add(b.id)
     for kind, edges in (("adjacency", adjacency), ("interaction", interaction)):
         for e in edges:
             if e.source not in node_ids or e.target not in node_ids:

@@ -6,8 +6,9 @@ exhaustive subset enumeration instead of Bron-Kerbosch, Floyd-Warshall
 instead of BFS, plain loops instead of vectorized silhouette, and a
 pure-Python Prim scan for MST weights.  The golden copies at the end are
 the exception: frozen earlier versions of two clusterer loops, of the
-per-dashboard structural statistics and of the degeneracy-ordered clique
-enumeration, kept for bit-for-bit comparison.
+per-dashboard structural statistics, of the degeneracy-ordered clique
+enumeration and of the two-step action-to-edge path, kept for
+bit-for-bit comparison.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ import math
 import numpy as np
 
 from dashmine.analysis import average_shortest_path, maximal_cliques
-from dashmine.model import BlockType, EdgeClass
+from dashmine.errors import SchemaViolation
+from dashmine.model import BlockType, EdgeClass, InteractionEdge, classify_interaction
 
 
 # --- adjacency: half-pixel rasterization ------------------------------------
@@ -393,3 +395,57 @@ def golden_maximal_cliques(node_ids, edges) -> list[tuple[str, ...]]:
 
     cliques.sort(key=lambda c: (-len(c), c))
     return cliques
+
+
+# --- golden copy: actions -> interaction edges in two steps ------------------
+#
+# Frozen copies of ``ingest.extract_actions`` and of the edge-list form of
+# ``geometry.build_interaction_graph`` as they were before the two became
+# one pass over the declared actions.  The first checks endpoints,
+# classifies and drops unsupported pairs; the second prunes self-loops and
+# duplicates and sorts.  Composed, they must give the same edges and
+# counters as the one-pass builder.
+
+
+def golden_extract_actions(dashboard, counters=None) -> list:
+    by_id = dashboard.blocks_by_id()
+    edges = []
+    for action in dashboard.declared_interactions:
+        for endpoint in (action.source, action.target):
+            if endpoint not in by_id:
+                raise SchemaViolation(
+                    f"action references unknown block: {endpoint}",
+                    f"dashboard[{dashboard.id}]",
+                )
+        edge_class = classify_interaction(
+            by_id[action.source].block_type, by_id[action.target].block_type
+        )
+        if edge_class is None:
+            if counters is not None:
+                counters["dropped"] = counters.get("dropped", 0) + 1
+            continue
+        edges.append(InteractionEdge(action.source, action.target, action.action_type, edge_class))
+    return edges
+
+
+def golden_prune_interactions(blocks, declared) -> list:
+    ids = {b.id for b in blocks}
+    seen: set[tuple[str, str, str]] = set()
+    edges = []
+    for edge in declared:
+        if edge.source == edge.target:
+            continue
+        if edge.source not in ids or edge.target not in ids:
+            raise ValueError(f"interaction endpoint not among blocks: {edge.source}->{edge.target}")
+        key = (edge.source, edge.target, edge.edge_class.value)
+        if key in seen:
+            continue
+        seen.add(key)
+        edges.append(edge)
+    edges.sort(key=lambda e: (e.source, e.target, e.edge_class.value))
+    return edges
+
+
+def golden_interaction_graph(dashboard, counters=None) -> list:
+    declared = golden_extract_actions(dashboard, counters)
+    return golden_prune_interactions(dashboard.blocks, declared)

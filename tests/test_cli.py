@@ -200,6 +200,45 @@ def test_analyze_and_lint_reject_edge_to_missing_node(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_repeated_block_id_fails_graph_and_later_stages(tmp_path, capsys):
+    chart = {"type": "chart", "x": 0, "y": 0, "w": 10, "h": 10, "props": {"vis_type": "bar", "marks": ["bar"]}}
+    doc = {"id": "d1", "blocks": [chart | {"id": "c1"}, chart | {"id": "c2"}, chart | {"id": "c2"}]}
+    (tmp_path / "d1.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    # parse tolerates the validation finding in lenient mode; graph must not
+    assert main(["parse", "--input", str(tmp_path / "d1.json"), "--lenient", "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert main(["graph", "--input", str(out), "--out", str(out)]) == 2
+    assert not list(out.glob("*.graph.json"))
+    errors = {"graph": capsys.readouterr().err}
+
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    nodes = [{"id": i, "type": "chart"} for i in ("c1", "c2", "c2")]
+    (graphs / "d1.graph.json").write_text(json.dumps({"dashboard_id": "d1", "nodes": nodes}))
+    for stage in ("analyze", "features", "lint"):
+        assert main([stage, "--input", str(graphs), "--out", str(tmp_path / stage)]) == 2
+        assert not (tmp_path / stage).exists()
+        errors[stage] = capsys.readouterr().err
+    for stage, err in errors.items():
+        error = json.loads(err.strip().splitlines()[-1])
+        assert (error["error"], error["stage"]) == ("SchemaViolation", stage)
+        assert "'d1'" in error["message"] and "'c2'" in error["message"]
+
+
+def test_failed_write_leaves_no_artifact_or_temp_file(tmp_path, capsys):
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    # a lone surrogate survives JSON decoding but cannot be encoded as UTF-8
+    doc = {"dashboard_id": "d\ud800", "nodes": [{"id": "c", "type": "chart"}]}
+    (graphs / "d.graph.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["features", "--input", str(graphs), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert error["error"] == "UnicodeEncodeError"
+    assert list(out.iterdir()) == []
+
+
 def test_lenient_mode_downgrades_unknown_zone(tmp_path):
     wb = tmp_path / "odd.xml"
     wb.write_text(

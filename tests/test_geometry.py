@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
+from dashmine.errors import SchemaViolation
 from dashmine.geometry import (
     Tolerance,
     build_adjacency_graph,
@@ -11,16 +13,18 @@ from dashmine.geometry import (
     max_possible_interactions,
 )
 from dashmine.model import (
+    ActionRecord,
     AdjacencyConfig,
     AdjacencyEdge,
     BlockType,
+    Dashboard,
     EdgeClass,
     InteractionEdge,
     classify_interaction,
 )
 
 from conftest import make_block, random_dashboard
-from oracles import rasterized_adjacency
+from oracles import golden_interaction_graph, rasterized_adjacency
 
 
 def rect_block(block_id: str, x: int, y: int, w: int, h: int):
@@ -157,18 +161,47 @@ def test_adjacency_graph_order_independent():
         assert build_adjacency_graph(perm) == edges
 
 
-def _interaction(source: str, target: str, itype: str = "filter") -> InteractionEdge:
-    return InteractionEdge(source, target, itype, EdgeClass.CHART_TO_CHART)
-
-
 def test_interaction_graph_dedup_and_self_loops():
-    blocks = [
+    blocks = (
         make_block("C1", BlockType.CHART, 0, 0, 10, 10),
         make_block("C2", BlockType.CHART, 20, 0, 10, 10),
-    ]
-    declared = [_interaction("C1", "C2"), _interaction("C1", "C2"), _interaction("C1", "C1")]
-    edges = build_interaction_graph(blocks, declared)
+    )
+    declared = tuple(ActionRecord(s, t, "filter") for s, t in (("C1", "C2"), ("C1", "C2"), ("C1", "C1")))
+    edges = build_interaction_graph(Dashboard(id="d", blocks=blocks, declared_interactions=declared))
     assert [(e.source, e.target) for e in edges] == [("C1", "C2")]
+
+
+def test_interaction_graph_equals_golden_two_step_path(fig_a, fig_b, fig_c):
+    rng = np.random.default_rng(41)
+    cases = [fig_a, fig_b, fig_c] + [random_dashboard(rng, f"d{i}") for i in range(300)]
+    dropped = self_loops = duplicates = 0
+    for d in cases:
+        counters: dict[str, int] = {}
+        golden_counters: dict[str, int] = {}
+        assert build_interaction_graph(d, counters) == golden_interaction_graph(d, golden_counters)
+        assert counters == golden_counters
+        dropped += counters.get("dropped", 0)
+        kinds = {b.id: b.block_type for b in d.blocks}
+        keys = [
+            (a.source, a.target, classify_interaction(kinds[a.source], kinds[a.target]))
+            for a in d.declared_interactions
+        ]
+        kept = [k for k in keys if k[2] is not None]
+        self_loops += sum(1 for s, t, _ in kept if s == t)
+        duplicates += len(kept) - len(set(kept))
+    # the random cases exercise every rule the two paths must agree on
+    assert dropped and self_loops and duplicates
+
+    # a dangling endpoint fails the same way, wherever it sits
+    for i, d in enumerate(cases[3:50]):
+        actions = list(d.declared_interactions)
+        actions.insert(i % (len(actions) + 1), ActionRecord(d.blocks[0].id, "ghost", "filter"))
+        dangling = Dashboard(id=d.id, blocks=d.blocks, declared_interactions=tuple(actions))
+        with pytest.raises(SchemaViolation) as ours:
+            build_interaction_graph(dangling)
+        with pytest.raises(SchemaViolation) as golden:
+            golden_interaction_graph(dangling)
+        assert str(ours.value) == str(golden.value)
 
 
 def test_interaction_graph_empty_for_static_dashboard(fig_graphs):

@@ -3,13 +3,8 @@ from __future__ import annotations
 import pytest
 
 from dashmine.errors import MalformedDocument, SchemaViolation
-from dashmine.ingest import (
-    ZoneRecord,
-    extract_actions,
-    extract_blocks,
-    filter_corpus,
-    parse_workbook,
-)
+from dashmine.geometry import build_interaction_graph
+from dashmine.ingest import filter_corpus, parse_workbook
 from dashmine.model import (
     BlockType,
     ChartType,
@@ -41,16 +36,15 @@ MINIMAL_XML = b"""
 
 
 def test_minimal_xml_workbook():
-    wb = parse_workbook(MINIMAL_XML, format="xml")
-    assert len(wb.dashboards) == 1
-    d = wb.dashboards[0]
+    dashboards = parse_workbook(MINIMAL_XML, format="xml")
+    assert len(dashboards) == 1
+    d = dashboards[0]
     assert len(d.blocks) == 2
     assert d.declared_interactions == ()
 
 
 def test_fig_a_xml_has_four_charts_and_twelve_actions():
-    wb = parse_workbook((FIXTURES / "fig_a.xml").read_bytes(), format="xml")
-    d = wb.dashboards[0]
+    (d,) = parse_workbook((FIXTURES / "fig_a.xml").read_bytes(), format="xml")
     assert sum(1 for b in d.blocks if b.block_type is BlockType.CHART) == 4
     assert len(d.declared_interactions) == 12
 
@@ -70,7 +64,7 @@ def test_malformed_json_reports_position():
 def test_xml_and_json_fixtures_parse_to_equal_dashboards():
     for name in ("fig_a", "fig_b", "fig_c"):
         from_xml = parse_workbook((FIXTURES / f"{name}.xml").read_bytes(), format="xml")
-        assert from_xml.dashboards == (load_fixture(name),)
+        assert from_xml == (load_fixture(name),)
 
 
 def test_parsing_is_deterministic():
@@ -84,8 +78,7 @@ def test_json_serialize_parse_round_trip(fig_c):
     from dashmine.model import dashboard_to_dict
 
     blob = jsonlib.dumps(dashboard_to_dict(fig_c)).encode()
-    wb = parse_workbook(blob, format="json")
-    assert wb.dashboards == (fig_c,)
+    assert parse_workbook(blob, format="json") == (fig_c,)
 
 
 def test_missing_required_attribute_names_the_element():
@@ -102,29 +95,111 @@ def test_duplicate_zone_id_rejected():
     assert "duplicate zone id" in str(err.value)
 
 
-# --- extract_blocks -----------------------------------------------------------
+# --- zones to blocks -------------------------------------------------------------
+
+
+def _zone_block(zone_attrs: str, strict: bool = True):
+    """Parse a one-zone dashboard and return its block."""
+    doc = f"<workbook><dashboards><dashboard id='d'><zone {zone_attrs}/></dashboard></dashboards></workbook>"
+    (dashboard,) = parse_workbook(doc, format="xml", strict=strict)
+    (block,) = dashboard.blocks
+    return block
 
 
 def test_filter_zone_maps_to_filter_block():
-    zone = ZoneRecord(id="f", kind="filter", x=0, y=0, w=10, h=10, widget="dropdown", field="Region")
-    (block,) = extract_blocks([zone], {})
+    block = _zone_block("id='f' type='filter' x='0' y='0' w='10' h='10' widget='dropdown' field='Region'")
     assert block.block_type is BlockType.FILTER
     assert block.props == FilterProps(widget=WidgetType.DROPDOWN, field="Region")
 
 
 def test_color_legend_zone_maps_to_legend_block():
-    zone = ZoneRecord(id="l", kind="color-legend", x=0, y=0, w=10, h=10)
-    (block,) = extract_blocks([zone], {})
+    block = _zone_block("id='l' type='color-legend' x='0' y='0' w='10' h='10'")
     assert block.block_type is BlockType.LEGEND
     assert block.props == LegendProps(channel="color")
 
 
 def test_unknown_zone_kind_strict_vs_lenient():
-    zone = ZoneRecord(id="z", kind="blank", x=0, y=0, w=10, h=10)
+    zone = "id='z' type='blank' x='0' y='0' w='10' h='10'"
     with pytest.raises(SchemaViolation):
-        extract_blocks([zone], {}, strict=True)
-    (block,) = extract_blocks([zone], {}, strict=False)
+        _zone_block(zone, strict=True)
+    block = _zone_block(zone, strict=False)
     assert block.props == MultimediaProps(kind=MultimediaKind.OTHER)
+
+
+def _fault_doc(zones: str = "", actions: str = "", datasources: str = "", dash_attrs: str = "") -> str:
+    """A one-dashboard workbook whose chart zone c1 is valid; the arguments add one fault."""
+    return (
+        f"<workbook><datasources>{datasources}</datasources><worksheets>"
+        "<worksheet name='w1'><mark type='bar'/><encoding channel='column' field='A'/></worksheet>"
+        f"</worksheets><dashboards><dashboard id='d'{dash_attrs}>"
+        "<zone id='c1' type='chart' x='0' y='0' w='100' h='100' worksheet='w1'/>"
+        f"{zones}{actions}</dashboard></dashboards></workbook>"
+    )
+
+
+ZONE = "dashboards/dashboard[0]/zone[1]: "
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        (_fault_doc("<zone type='text' x='0' y='0' w='5' h='5'/>"), ZONE + "missing required attribute 'id'"),
+        (_fault_doc("<zone id='t' x='0' y='0' w='5' h='5'/>"), ZONE + "missing required attribute 'type'"),
+        (_fault_doc("<zone id='t' type='text' y='0' w='5' h='5'/>"), ZONE + "missing required attribute 'x'"),
+        (
+            _fault_doc("<zone id='t' type='text' x='0' y='0' w='5px' h='5'/>"),
+            ZONE + "attribute 'w' is not an integer: '5px'",
+        ),
+        (
+            _fault_doc("<zone id='c2' type='chart' x='0' y='0' w='5' h='5'/>"),
+            ZONE + "chart zone without worksheet reference",
+        ),
+        (
+            _fault_doc("<zone id='c2' type='chart' x='0' y='0' w='5' h='5' worksheet='nope'/>"),
+            ZONE + "unknown worksheet: nope",
+        ),
+        (_fault_doc("<zone id='z' type='blank' x='0' y='0' w='5' h='5'/>"), ZONE + "unknown zone kind: 'blank'"),
+        (_fault_doc("<zone id='c1' type='text' x='0' y='0' w='5' h='5'/>"), ZONE + "duplicate zone id: c1"),
+        (
+            _fault_doc(actions="<action source='c1' target='ghost' type='filter'/>"),
+            "dashboards/dashboard[0]/action[0]: action references unknown zone: ghost",
+        ),
+        (
+            _fault_doc(datasources="<datasource><attribute name='A' datatype='string'/></datasource>"),
+            "datasources/datasource[0]: missing required attribute 'name'",
+        ),
+        (
+            _fault_doc(datasources="<datasource name='s'><attribute name='A'/></datasource>"),
+            "datasources/datasource[0]: missing required attribute 'datatype'",
+        ),
+    ],
+    ids=[
+        "zone-id",
+        "zone-type",
+        "zone-x",
+        "zone-w-not-int",
+        "chart-no-worksheet",
+        "chart-unknown-worksheet",
+        "unknown-kind-strict",
+        "duplicate-zone-id",
+        "dangling-action",
+        "datasource-name",
+        "datasource-attribute-datatype",
+    ],
+)
+def test_single_fault_documents_keep_their_messages(doc, message):
+    with pytest.raises(SchemaViolation) as err:
+        parse_workbook(doc, format="xml")
+    assert str(err.value) == message
+
+
+def test_dashboard_size_must_be_integer():
+    (d,) = parse_workbook(_fault_doc(dash_attrs=" width='800' height='600'"), format="xml")
+    assert (d.width, d.height) == (800, 600)
+    for attrs, attr, raw in ((" width='800px'", "width", "800px"), (" height='6e2'", "height", "6e2")):
+        with pytest.raises(SchemaViolation) as err:
+            parse_workbook(_fault_doc(dash_attrs=attrs), format="xml")
+        assert str(err.value) == f"dashboards/dashboard[0]: attribute {attr!r} is not an integer: {raw!r}"
 
 
 # --- chart type inference at ingest --------------------------------------------
@@ -149,7 +224,7 @@ RULE_TABLE_XML = b"""
 
 def test_infer_chart_type_rule_table():
     # chart blocks get their visualization type from the referenced worksheet
-    blocks = parse_workbook(RULE_TABLE_XML, format="xml").dashboards[0].blocks
+    blocks = parse_workbook(RULE_TABLE_XML, format="xml")[0].blocks
     assert {b.id: b.props.vis_type for b in blocks} == {
         "z1": ChartType("bar"),
         "z2": ChartType("map"),
@@ -157,7 +232,7 @@ def test_infer_chart_type_rule_table():
     }
 
 
-# --- extract_actions ------------------------------------------------------------
+# --- actions to interaction edges --------------------------------------------------
 
 
 def _dash_with_action(source_type: BlockType, target_type: BlockType) -> Dashboard:
@@ -174,19 +249,19 @@ def _dash_with_action(source_type: BlockType, target_type: BlockType) -> Dashboa
 
 
 def test_legend_to_chart_action():
-    conns = extract_actions(_dash_with_action(BlockType.LEGEND, BlockType.CHART))
+    conns = build_interaction_graph(_dash_with_action(BlockType.LEGEND, BlockType.CHART))
     assert len(conns) == 1
     assert conns[0].itype == "highlight"
     assert conns[0].edge_class is EdgeClass.LEGEND_TO_CHART
 
 
 def test_fig_c_actions_become_eight_connections(fig_c):
-    assert len(extract_actions(fig_c)) == 8
+    assert len(build_interaction_graph(fig_c)) == 8
 
 
 def test_unsupported_action_pair_dropped_and_counted():
     counters: dict[str, int] = {}
-    conns = extract_actions(_dash_with_action(BlockType.TEXT, BlockType.CHART), counters)
+    conns = build_interaction_graph(_dash_with_action(BlockType.TEXT, BlockType.CHART), counters)
     assert conns == []
     assert counters == {"dropped": 1}
 
@@ -200,7 +275,7 @@ def test_dangling_action_endpoint_raises():
         declared_interactions=(ActionRecord("c", "ghost", "filter"),),
     )
     with pytest.raises(SchemaViolation):
-        extract_actions(d)
+        build_interaction_graph(d)
 
 
 def test_edge_class_always_matches_endpoint_types():
@@ -213,7 +288,7 @@ def test_edge_class_always_matches_endpoint_types():
     for i in range(100):
         d = random_dashboard(rng, f"d{i}")
         by_id = d.blocks_by_id()
-        for conn in extract_actions(d):
+        for conn in build_interaction_graph(d):
             expected = classify_interaction(
                 by_id[conn.source].block_type, by_id[conn.target].block_type
             )

@@ -154,6 +154,18 @@ def test_graphs_doc_rejects_edge_to_missing_node(edges):
     assert ("adjacency" in edges) == ("adjacency edge" in str(info.value))
 
 
+def test_repeated_block_or_node_id_rejected():
+    block = make_block("c2", BlockType.CHART, 0, 0, 10, 10)
+    with pytest.raises(SchemaViolation) as info:
+        build_graphs(Dashboard(id="d1", blocks=(make_block("c1", BlockType.CHART, 20, 0, 10, 10), block, block)))
+    assert "'d1'" in str(info.value) and "'c2'" in str(info.value)
+
+    nodes = [{"id": "c1", "type": "chart"}, {"id": "c2", "type": "chart"}, {"id": "c2", "type": "chart"}]
+    with pytest.raises(SchemaViolation) as info:
+        graphs_from_dict({"dashboard_id": "d1", "nodes": nodes})
+    assert "'d1'" in str(info.value) and "'c2'" in str(info.value)
+
+
 def test_graph_node_sets_identical_everywhere():
     rng = np.random.default_rng(7)
     for i in range(50):
