@@ -22,17 +22,20 @@ for name in ("fig_a", "fig_b", "fig_c"):
     dashboard = dashboard_from_dict(json.loads((FIXTURES / f"{name}.json").read_text()))
     corpus.append(build_graphs(dashboard))
 
-summary = summarize_corpus(corpus)
-print(f"{summary.n_dashboards} dashboards, "
-      f"{sum(summary.block_counts.values())} blocks total")
-print("block shares:", {t: round(s, 2) for t, s in summary.block_shares.items()})
-print(f"interactive: {summary.n_interactive} ({summary.interactive_share:.0%})")
-print(f"interaction saturation, mean per dashboard: {summary.saturation_mean_per_dashboard:.2f}")
-print(f"interactions on spatially adjacent pairs: {summary.overlap.fraction:.0%}")
-print("clique patterns:", summary.clique_patterns)
+summary = summarize_corpus(corpus)  # the summary.json document, as a dict
+print(f"{summary['n_dashboards']} dashboards, "
+      f"{sum(summary['block_counts'].values())} blocks total")
+print("block shares:", {t: round(s, 2) for t, s in summary["block_shares"].items()})
+print(f"interactive: {summary['n_interactive']} ({summary['interactive_share']:.0%})")
+print(f"interaction saturation, mean per dashboard: "
+      f"{summary['saturation']['mean_per_dashboard']:.2f}")
+print(f"interactions on spatially adjacent pairs: "
+      f"{summary['adjacency_interaction_overlap']['fraction']:.0%}")
+print("clique patterns:", summary["clique_patterns"])
 
 # lint findings on the showcase corpus: fig_b has a legend but no
-# interactions at all, which trips the static-with-widgets rule
+# interactions at all, which trips the static-with-widgets rule (a
+# finding's severity comes from the rule table, LINT_RULES)
 print("\nfindings on the showcase corpus:")
 for graphs in corpus:
     for finding in lint(graphs):

@@ -65,7 +65,6 @@ from .model import (
     validate,
 )
 from .report import (
-    CorpusSummary,
     LintFinding,
     interaction_adjacency_overlap,
     lint,

@@ -9,6 +9,7 @@ input order.
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Any, Iterable, Mapping, Sequence
 
 from .model import Block, DashboardGraphs
@@ -65,6 +66,13 @@ def clique_pattern(clique: Iterable[str], blocks: Mapping[str, Block] | Sequence
     return "|".join(sorted(blocks[v].block_type.value for v in clique))
 
 
+def count_clique_patterns(
+    cliques: Iterable[Iterable[str]], blocks: Mapping[str, Block]
+) -> dict[str, int]:
+    """How many of ``cliques`` have each block-type pattern, sorted by pattern."""
+    return dict(sorted(Counter(clique_pattern(c, blocks) for c in cliques).items()))
+
+
 def average_shortest_path(node_ids: Sequence[str], edges: Iterable[tuple[str, str]]) -> float:
     """Mean unweighted shortest-path length over reachable ordered pairs.
 
@@ -110,11 +118,6 @@ def analyze_graphs(graphs: DashboardGraphs) -> dict[str, Any]:
     k = len(graphs.interaction_edges)
     cliques = maximal_cliques(node_ids, pairs)
     nontrivial = [c for c in cliques if len(c) >= 2]
-    blocks = graphs.nodes_by_id()
-    patterns: dict[str, int] = {}
-    for clique in cliques:
-        pattern = clique_pattern(clique, blocks)
-        patterns[pattern] = patterns.get(pattern, 0) + 1
     per_node = k / n if n else 0.0
     return {
         "dashboard_id": graphs.dashboard_id,
@@ -138,5 +141,5 @@ def analyze_graphs(graphs: DashboardGraphs) -> dict[str, Any]:
             "mean_out_degree": per_node,
         },
         "cliques": [list(c) for c in cliques],
-        "clique_patterns": dict(sorted(patterns.items())),
+        "clique_patterns": count_clique_patterns(cliques, graphs.nodes_by_id()),
     }

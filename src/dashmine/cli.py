@@ -108,7 +108,12 @@ def _load_graph_docs(patterns: Sequence[str]) -> list[model.DashboardGraphs]:
     graph_paths = [p for p in paths if p.name.endswith(".graph.json")]
     if not graph_paths:
         raise FileNotFoundError("no *.graph.json inputs found")
-    docs = [model.graphs_from_dict(json.loads(p.read_text())) for p in graph_paths]
+    docs = []
+    for p in graph_paths:
+        try:
+            docs.append(model.graphs_from_dict(json.loads(p.read_text())))
+        except SchemaViolation as exc:
+            raise SchemaViolation(str(exc), path=p.name) from exc
     _check_ids([g.dashboard_id for g in docs])
     docs.sort(key=lambda g: g.dashboard_id)
     return docs
@@ -149,7 +154,7 @@ def _cmd_parse(args, out: _Outputs) -> int:
         parsed = ingest.parse_workbook(path.read_bytes(), format=fmt, strict=not args.lenient)
         for dashboard in parsed:
             violations = model.validate(dashboard)
-            if violations and not args.lenient:
+            if violations:
                 raise SchemaViolation(
                     "; ".join(violations), path=f"{path.name}:{dashboard.id}"
                 )
@@ -315,29 +320,26 @@ def _cmd_cluster(args, out: _Outputs) -> int:
 
 def _cmd_report(args, out: _Outputs) -> int:
     fp = _fingerprint({"stage": "report"})
-    docs = _load_graph_docs(args.input)
-    summary = report.summarize_corpus(docs)
-    doc = summary.to_dict()
-    doc["_fingerprint"] = fp
-    out.write_json(Path(args.out) / "summary.json", doc)
+    summary = report.summarize_corpus(_load_graph_docs(args.input))
+    out.write_json(Path(args.out) / "summary.json", summary | {"_fingerprint": fp})
 
     if args.csv_tables:
         block_lines = [f"# config_fingerprint={fp}", "block_type,count,share"]
-        for t, c in summary.block_counts.items():
-            block_lines.append(f"{t},{c},{repr(summary.block_shares[t])}")
+        for t, c in summary["block_counts"].items():
+            block_lines.append(f"{t},{c},{repr(summary['block_shares'][t])}")
         out.write_text(Path(args.out) / "block_distribution.csv", "\n".join(block_lines) + "\n")
 
         clique_lines = [f"# config_fingerprint={fp}", "pattern,count"]
-        for pattern, count in summary.clique_patterns.items():
+        for pattern, count in summary["clique_patterns"].items():
             clique_lines.append(f"{pattern},{count}")
         out.write_text(Path(args.out) / "clique_patterns.csv", "\n".join(clique_lines) + "\n")
 
         edge_lines = [f"# config_fingerprint={fp}", "edge_class,share_of_interactive"]
-        for cls, share in summary.edge_class_presence_shares.items():
+        for cls, share in summary["edge_class_presence_shares"].items():
             edge_lines.append(f"{cls},{repr(share)}")
         out.write_text(Path(args.out) / "edge_class_shares.csv", "\n".join(edge_lines) + "\n")
 
-    print(f"summarized {summary.n_dashboards} dashboard(s)")
+    print(f"summarized {summary['n_dashboards']} dashboard(s)")
     return EXIT_OK
 
 

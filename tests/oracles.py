@@ -7,19 +7,29 @@ instead of BFS, plain loops instead of vectorized silhouette, and a
 pure-Python Prim scan for MST weights.  The golden copies at the end are
 the exception: frozen earlier versions of two clusterer loops, of the
 per-dashboard structural statistics, of the degeneracy-ordered clique
-enumeration and of the two-step action-to-edge path, kept for
-bit-for-bit comparison.
+enumeration, of the two-step action-to-edge path and of the corpus
+summary and lint records, kept for bit-for-bit comparison.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
+from fractions import Fraction
+from statistics import median
 
 import numpy as np
 
-from dashmine.analysis import average_shortest_path, maximal_cliques
+from dashmine.analysis import average_shortest_path, clique_pattern, maximal_cliques
 from dashmine.errors import SchemaViolation
-from dashmine.model import BlockType, EdgeClass, InteractionEdge, classify_interaction
+from dashmine.geometry import max_possible_interactions
+from dashmine.model import (
+    BlockType,
+    ChartProps,
+    EdgeClass,
+    InteractionEdge,
+    classify_interaction,
+)
 
 
 # --- adjacency: half-pixel rasterization ------------------------------------
@@ -449,3 +459,309 @@ def golden_prune_interactions(blocks, declared) -> list:
 def golden_interaction_graph(dashboard, counters=None) -> list:
     declared = golden_extract_actions(dashboard, counters)
     return golden_prune_interactions(dashboard.blocks, declared)
+
+
+# --- golden copy: the corpus summary and lint records ------------------------
+#
+# Frozen copies of ``report.summarize_corpus(...).to_dict()`` and of
+# ``report.lint`` as they were when the summary was a ``CorpusSummary``
+# record with ``Distribution`` and ``OverlapBreakdown`` parts, and each
+# ``LintFinding`` carried its severity as a field.  The summary document
+# and every finding's ``to_dict()`` must equal theirs.
+
+
+def _golden_mode(values):
+    counts = {}
+    for v in values:
+        counts[v] = counts.get(v, 0) + 1
+    if not counts:
+        return None
+    top = max(counts.values())
+    return min(v for v, c in counts.items() if c == top)
+
+
+@dataclass(frozen=True)
+class _GoldenDistribution:
+    min: float
+    max: float
+    median: float
+    mode: float
+
+    @classmethod
+    def of(cls, values):
+        return cls(
+            min=float(min(values)),
+            max=float(max(values)),
+            median=float(median(values)),
+            mode=float(_golden_mode(values)),
+        )
+
+    def to_dict(self):
+        return {"min": self.min, "max": self.max, "median": self.median, "mode": self.mode}
+
+
+@dataclass(frozen=True)
+class _GoldenOverlap:
+    n_interactions: int
+    n_overlapping: int
+    by_class: dict
+
+    @property
+    def fraction(self):
+        return self.n_overlapping / self.n_interactions if self.n_interactions else 0.0
+
+
+@dataclass(frozen=True)
+class _GoldenSummary:
+    n_dashboards: int
+    block_counts: dict
+    block_shares: dict
+    blocks_per_dashboard: _GoldenDistribution
+    chart_type_presence_shares: dict
+    n_interactive: int
+    interactive_share: float
+    interaction_edges_dist: _GoldenDistribution | None
+    saturation_mean_per_dashboard: float | None
+    saturation_median: float | None
+    saturation_mode: float | None
+    saturation_pooled: float | None
+    edge_class_presence_shares: dict
+    interaction_type_counts: dict
+    clique_patterns: dict
+    overlap: _GoldenOverlap
+
+    def to_dict(self):
+        return {
+            "n_dashboards": self.n_dashboards,
+            "block_counts": self.block_counts,
+            "block_shares": self.block_shares,
+            "blocks_per_dashboard": self.blocks_per_dashboard.to_dict(),
+            "chart_type_presence_shares": self.chart_type_presence_shares,
+            "n_interactive": self.n_interactive,
+            "interactive_share": self.interactive_share,
+            "interaction_edges": (
+                self.interaction_edges_dist.to_dict() if self.interaction_edges_dist else None
+            ),
+            "saturation": {
+                "mean_per_dashboard": self.saturation_mean_per_dashboard,
+                "median": self.saturation_median,
+                "mode": self.saturation_mode,
+                "pooled": self.saturation_pooled,
+            },
+            "edge_class_presence_shares": self.edge_class_presence_shares,
+            "interaction_type_counts": self.interaction_type_counts,
+            "clique_patterns": self.clique_patterns,
+            "adjacency_interaction_overlap": {
+                "n_interactions": self.overlap.n_interactions,
+                "n_overlapping": self.overlap.n_overlapping,
+                "fraction": self.overlap.fraction,
+                "by_class": self.overlap.by_class,
+            },
+        }
+
+
+def _golden_overlap(graphs):
+    adjacent_pairs = {(e.source, e.target) for e in graphs.adjacency_edges}
+    count = 0
+    by_class = {cls.value: 0 for cls in EdgeClass}
+    for edge in graphs.interaction_edges:
+        key = tuple(sorted((edge.source, edge.target)))
+        if key in adjacent_pairs:
+            count += 1
+            by_class[edge.edge_class.value] += 1
+    return count, by_class
+
+
+def golden_summary(corpus) -> dict:
+    block_counts = {t.value: 0 for t in BlockType}
+    blocks_per_dashboard = []
+    chart_type_presence = {}
+    interactive_edge_counts = []
+    saturations = []
+    pooled_realized = 0
+    pooled_possible = 0
+    edge_class_presence = {cls.value: 0 for cls in EdgeClass}
+    itype_counts = {}
+    patterns = {}
+    overlap_total = 0
+    overlap_by_class = {cls.value: 0 for cls in EdgeClass}
+    interactions_total = 0
+
+    for graphs in corpus:
+        blocks_per_dashboard.append(len(graphs.nodes))
+        for block in graphs.nodes:
+            block_counts[block.block_type.value] += 1
+        seen_types = set()
+        for block in graphs.nodes:
+            if isinstance(block.props, ChartProps):
+                seen_types.add(block.props.vis_type.name)
+        for name in seen_types:
+            chart_type_presence[name] = chart_type_presence.get(name, 0) + 1
+
+        n_edges = len(graphs.interaction_edges)
+        interactions_total += n_edges
+        possible = max_possible_interactions(graphs.nodes)
+        if n_edges > 0:
+            interactive_edge_counts.append(n_edges)
+            if possible > 0:
+                saturations.append(Fraction(n_edges, possible))
+            pooled_realized += n_edges
+            pooled_possible += possible
+            present = {e.edge_class.value for e in graphs.interaction_edges}
+            for cls in present:
+                edge_class_presence[cls] += 1
+            for e in graphs.interaction_edges:
+                itype_counts[e.itype] = itype_counts.get(e.itype, 0) + 1
+
+        node_ids = [b.id for b in graphs.nodes]
+        pairs = [(e.source, e.target) for e in graphs.adjacency_edges]
+        blocks = graphs.nodes_by_id()
+        for clique in maximal_cliques(node_ids, pairs):
+            pattern = clique_pattern(clique, blocks)
+            patterns[pattern] = patterns.get(pattern, 0) + 1
+
+        count, by_class = _golden_overlap(graphs)
+        overlap_total += count
+        for cls, c in by_class.items():
+            overlap_by_class[cls] += c
+
+    n = len(corpus)
+    n_interactive = len(interactive_edge_counts)
+    total_blocks = sum(block_counts.values())
+    return _GoldenSummary(
+        n_dashboards=n,
+        block_counts=block_counts,
+        block_shares={
+            t: (c / total_blocks if total_blocks else 0.0) for t, c in block_counts.items()
+        },
+        blocks_per_dashboard=_GoldenDistribution.of(blocks_per_dashboard),
+        chart_type_presence_shares={
+            t: c / n for t, c in sorted(chart_type_presence.items())
+        },
+        n_interactive=n_interactive,
+        interactive_share=n_interactive / n,
+        interaction_edges_dist=(
+            _GoldenDistribution.of(interactive_edge_counts) if interactive_edge_counts else None
+        ),
+        saturation_mean_per_dashboard=(
+            float(sum(saturations) / len(saturations)) if saturations else None
+        ),
+        saturation_median=float(median(saturations)) if saturations else None,
+        saturation_mode=float(_golden_mode(saturations)) if saturations else None,
+        saturation_pooled=(
+            pooled_realized / pooled_possible if pooled_possible else None
+        ),
+        edge_class_presence_shares={
+            cls: (c / n_interactive if n_interactive else 0.0)
+            for cls, c in edge_class_presence.items()
+        },
+        interaction_type_counts=dict(sorted(itype_counts.items())),
+        clique_patterns=dict(sorted(patterns.items())),
+        overlap=_GoldenOverlap(
+            n_interactions=interactions_total,
+            n_overlapping=overlap_total,
+            by_class=overlap_by_class,
+        ),
+    ).to_dict()
+
+
+_GOLDEN_LINT_NAMES = {
+    "R1": "partial-scope-filter",
+    "R2": "orphan-legend",
+    "R3": "isolated-block",
+    "R4": "static-with-widgets",
+}
+
+
+@dataclass(frozen=True)
+class _GoldenFinding:
+    rule: str
+    severity: str
+    dashboard_id: str
+    subjects: tuple
+    message: str
+
+    def to_dict(self):
+        return {
+            "rule": self.rule,
+            "name": _GOLDEN_LINT_NAMES[self.rule],
+            "severity": self.severity,
+            "dashboard_id": self.dashboard_id,
+            "subjects": list(self.subjects),
+            "message": self.message,
+        }
+
+
+def golden_lint(graphs) -> list[dict]:
+    findings = []
+    dash = graphs.dashboard_id
+    chart_ids = {b.id for b in graphs.nodes if b.block_type is BlockType.CHART}
+    adjacency_of = {b.id: set() for b in graphs.nodes}
+    for e in graphs.adjacency_edges:
+        adjacency_of[e.source].add(e.target)
+        adjacency_of[e.target].add(e.source)
+    interaction_touch = {b.id: 0 for b in graphs.nodes}
+    targets_of = {}
+    for e in graphs.interaction_edges:
+        interaction_touch[e.source] += 1
+        interaction_touch[e.target] += 1
+        targets_of.setdefault(e.source, set()).add(e.target)
+
+    for block in graphs.nodes:
+        if block.block_type is BlockType.FILTER:
+            wired = targets_of.get(block.id, set()) & chart_ids
+            if wired and wired < chart_ids:
+                missing = sorted(chart_ids - wired)
+                findings.append(
+                    _GoldenFinding(
+                        rule="R1",
+                        severity="warning",
+                        dashboard_id=dash,
+                        subjects=(block.id,),
+                        message=(
+                            f"filter {block.id} drives {len(wired)} of {len(chart_ids)} charts"
+                            f" (not wired: {', '.join(missing)})"
+                        ),
+                    )
+                )
+        if block.block_type is BlockType.LEGEND:
+            adjacent_charts = adjacency_of[block.id] & chart_ids
+            if interaction_touch[block.id] == 0 and not adjacent_charts:
+                findings.append(
+                    _GoldenFinding(
+                        rule="R2",
+                        severity="warning",
+                        dashboard_id=dash,
+                        subjects=(block.id,),
+                        message=f"legend {block.id} is connected to no chart, spatially or interactively",
+                    )
+                )
+        if not adjacency_of[block.id]:
+            findings.append(
+                _GoldenFinding(
+                    rule="R3",
+                    severity="info",
+                    dashboard_id=dash,
+                    subjects=(block.id,),
+                    message=f"block {block.id} has no spatial neighbors",
+                )
+            )
+
+    widgets = sorted(
+        b.id
+        for b in graphs.nodes
+        if b.block_type in (BlockType.FILTER, BlockType.LEGEND)
+    )
+    if widgets and not graphs.interaction_edges:
+        findings.append(
+            _GoldenFinding(
+                rule="R4",
+                severity="warning",
+                dashboard_id=dash,
+                subjects=tuple(widgets),
+                message=f"dashboard has {len(widgets)} filter/legend block(s) but no interactions",
+            )
+        )
+
+    findings.sort(key=lambda f: (f.rule, f.dashboard_id, f.subjects))
+    return [f.to_dict() for f in findings]

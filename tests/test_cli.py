@@ -97,7 +97,7 @@ def test_report_stage_summary_equals_in_memory_summary(tmp_path):
     written = json.loads(artifacts["summary.json"])
     del written["_fingerprint"]
     corpus = [build_graphs(load_fixture(f"fig_{x}")) for x in ("a", "b", "c")]
-    expected = json.loads(json.dumps(summarize_corpus(corpus).to_dict()))
+    expected = json.loads(json.dumps(summarize_corpus(corpus)))
     assert written["chart_type_presence_shares"] == expected["chart_type_presence_shares"]
     assert written == expected
 
@@ -197,6 +197,7 @@ def test_analyze_and_lint_reject_edge_to_missing_node(tmp_path, capsys):
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
         assert (error["error"], error["stage"]) == ("SchemaViolation", stage)
         assert "'d1'" in error["message"] and "'zz'" in error["message"]
+        assert "d1.graph.json" in error["message"]
         assert not out.exists()
 
 
@@ -205,9 +206,15 @@ def test_repeated_block_id_fails_graph_and_later_stages(tmp_path, capsys):
     doc = {"id": "d1", "blocks": [chart | {"id": "c1"}, chart | {"id": "c2"}, chart | {"id": "c2"}]}
     (tmp_path / "d1.json").write_text(json.dumps(doc))
     out = tmp_path / "out"
-    # parse tolerates the validation finding in lenient mode; graph must not
-    assert main(["parse", "--input", str(tmp_path / "d1.json"), "--lenient", "--out", str(out)]) == 0
-    capsys.readouterr()
+    # --lenient only downgrades unknown zone kinds; validation findings fail parse
+    assert main(["parse", "--input", str(tmp_path / "d1.json"), "--lenient", "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (error["error"], error["stage"]) == ("SchemaViolation", "parse")
+    assert "duplicate block id: c2" in error["message"]
+    assert not out.exists()
+    # graph must reject such a dashboard too, however it got into the file
+    out.mkdir()
+    (out / "dashboards.ndjson").write_text(json.dumps(doc) + "\n")
     assert main(["graph", "--input", str(out), "--out", str(out)]) == 2
     assert not list(out.glob("*.graph.json"))
     errors = {"graph": capsys.readouterr().err}

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from dashmine.report import (
 )
 
 from conftest import make_block, random_dashboard
+from oracles import golden_lint, golden_summary
 
 
 def _filter_dashboard(n_charts: int, wired: int) -> Dashboard:
@@ -28,40 +32,40 @@ def _filter_dashboard(n_charts: int, wired: int) -> Dashboard:
 
 def test_fixture_corpus_interactivity(fig_graphs):
     summary = summarize_corpus(list(fig_graphs.values()))
-    assert summary.n_dashboards == 3
-    assert summary.n_interactive == 2  # fig_b is static
-    assert summary.interactive_share == pytest.approx(2 / 3)
+    assert summary["n_dashboards"] == 3
+    assert summary["n_interactive"] == 2  # fig_b is static
+    assert summary["interactive_share"] == pytest.approx(2 / 3)
 
 
 def test_single_dashboard_saturation_is_full(fig_graphs):
     summary = summarize_corpus([fig_graphs["fig_a"]])
-    assert summary.saturation_mean_per_dashboard == 1.0
-    assert summary.saturation_pooled == 1.0
-    assert summary.saturation_mode == 1.0
+    assert summary["saturation"]["mean_per_dashboard"] == 1.0
+    assert summary["saturation"]["pooled"] == 1.0
+    assert summary["saturation"]["mode"] == 1.0
 
 
 def test_static_corpus_has_zero_interactive_share(fig_graphs):
     summary = summarize_corpus([fig_graphs["fig_b"]])
-    assert summary.n_interactive == 0
-    assert summary.interactive_share == 0.0
-    assert summary.interaction_edges_dist is None
-    assert summary.saturation_mean_per_dashboard is None
+    assert summary["n_interactive"] == 0
+    assert summary["interactive_share"] == 0.0
+    assert summary["interaction_edges"] is None
+    assert summary["saturation"]["mean_per_dashboard"] is None
 
 
 def test_block_counts_sum_to_total(fig_graphs):
     summary = summarize_corpus(list(fig_graphs.values()))
-    assert sum(summary.block_counts.values()) == sum(
+    assert sum(summary["block_counts"].values()) == sum(
         len(g.nodes) for g in fig_graphs.values()
     )
-    assert all(0.0 <= share <= 1.0 for share in summary.block_shares.values())
+    assert all(0.0 <= share <= 1.0 for share in summary["block_shares"].values())
 
 
 def test_chart_type_presence_counts_each_dashboard_once(fig_graphs):
     summary = summarize_corpus(list(fig_graphs.values()))
     # bar charts appear in all three showcase dashboards
-    assert summary.chart_type_presence_shares["bar"] == 1.0
+    assert summary["chart_type_presence_shares"]["bar"] == 1.0
     # two pie charts in fig_a still count as one dashboard
-    assert summary.chart_type_presence_shares["pie"] == pytest.approx(1 / 3)
+    assert summary["chart_type_presence_shares"]["pie"] == pytest.approx(1 / 3)
 
 
 def test_summary_is_permutation_invariant(fig_graphs):
@@ -75,16 +79,51 @@ def test_summary_merge_equals_whole():
     whole = summarize_corpus(corpus)
     left = summarize_corpus(corpus[:7])
     right = summarize_corpus(corpus[7:])
-    for t in whole.block_counts:
-        assert whole.block_counts[t] == left.block_counts[t] + right.block_counts[t]
-    assert whole.n_interactive == left.n_interactive + right.n_interactive
-    assert whole.overlap.n_overlapping == (
-        left.overlap.n_overlapping + right.overlap.n_overlapping
+    for t in whole["block_counts"]:
+        assert whole["block_counts"][t] == left["block_counts"][t] + right["block_counts"][t]
+    assert whole["n_interactive"] == left["n_interactive"] + right["n_interactive"]
+    assert whole["adjacency_interaction_overlap"]["n_overlapping"] == (
+        left["adjacency_interaction_overlap"]["n_overlapping"] + right["adjacency_interaction_overlap"]["n_overlapping"]
     )
-    merged_patterns: dict[str, int] = dict(left.clique_patterns)
-    for pattern, count in right.clique_patterns.items():
+    merged_patterns: dict[str, int] = dict(left["clique_patterns"])
+    for pattern, count in right["clique_patterns"].items():
         merged_patterns[pattern] = merged_patterns.get(pattern, 0) + count
-    assert whole.clique_patterns == merged_patterns
+    assert whole["clique_patterns"] == merged_patterns
+
+
+def _equivalence_corpora(fig_graphs):
+    """The fixtures, 300 random dashboards (whole and in slices of ten), and
+    a corpus with no interactive dashboard."""
+    rng = np.random.default_rng(113)
+    dashboards = [random_dashboard(rng, f"d{i}") for i in range(300)]
+    randoms = [build_graphs(d) for d in dashboards]
+    static = [fig_graphs["fig_b"]] + [
+        build_graphs(dataclasses.replace(d, declared_interactions=())) for d in dashboards[:30]
+    ]
+    slices = [randoms[i : i + 10] for i in range(0, len(randoms), 10)]
+    return [list(fig_graphs.values()), randoms, static, *slices]
+
+
+def test_summary_document_equals_golden_record(fig_graphs):
+    corpora = _equivalence_corpora(fig_graphs)
+    for corpus in corpora:
+        doc, golden = summarize_corpus(corpus), golden_summary(corpus)
+        assert doc == golden
+        assert json.dumps(doc) == json.dumps(golden)  # key order too: the CSV tables follow it
+    static = summarize_corpus(corpora[2])
+    assert static["n_interactive"] == 0
+    assert static["interaction_edges"] is None
+    assert set(static["saturation"].values()) == {None}
+
+
+def test_lint_findings_equal_golden_copy(fig_graphs):
+    rules = set()
+    for corpus in _equivalence_corpora(fig_graphs)[:3]:
+        for graphs in corpus:
+            findings = [f.to_dict() for f in lint(graphs)]
+            assert findings == golden_lint(graphs)
+            rules.update(f["rule"] for f in findings)
+    assert rules == {"R1", "R2", "R3", "R4"}
 
 
 def test_empty_corpus_raises():
@@ -100,7 +139,7 @@ def test_mode_resolves_ties_to_smallest():
 def test_interaction_type_counts(fig_graphs):
     summary = summarize_corpus(list(fig_graphs.values()))
     # fig_a: 12 filter actions; fig_c: 4 filter + 4 highlight
-    assert summary.interaction_type_counts == {"filter": 16, "highlight": 4}
+    assert summary["interaction_type_counts"] == {"filter": 16, "highlight": 4}
 
 
 def test_overlap_direct_cases(fig_graphs):
