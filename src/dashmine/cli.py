@@ -103,17 +103,31 @@ def _expand_inputs(patterns: Sequence[str], suffixes: tuple[str, ...]) -> list[P
     return sorted(set(paths))
 
 
+def _decode(text: str, from_dict: Callable[[dict], Any], where: str) -> Any:
+    """Decode one JSON document read from outside with ``from_dict``.
+
+    A document that is not valid JSON, not an object, or not of the shape
+    ``from_dict`` reads fails as a :class:`SchemaViolation` naming ``where``.
+    """
+    try:
+        obj = json.loads(text)
+        if not isinstance(obj, dict):
+            raise SchemaViolation(f"document is a JSON {type(obj).__name__}, not an object")
+        return from_dict(obj)
+    except SchemaViolation as exc:
+        raise SchemaViolation(str(exc), path=where) from exc
+    except KeyError as exc:
+        raise SchemaViolation(f"missing key {exc}", path=where) from exc
+    except (AttributeError, TypeError, ValueError) as exc:
+        raise SchemaViolation(f"{type(exc).__name__}: {exc}", path=where) from exc
+
+
 def _load_graph_docs(patterns: Sequence[str]) -> list[model.DashboardGraphs]:
     paths = _expand_inputs(patterns, suffixes=(".graph.json",))
     graph_paths = [p for p in paths if p.name.endswith(".graph.json")]
     if not graph_paths:
         raise FileNotFoundError("no *.graph.json inputs found")
-    docs = []
-    for p in graph_paths:
-        try:
-            docs.append(model.graphs_from_dict(json.loads(p.read_text())))
-        except SchemaViolation as exc:
-            raise SchemaViolation(str(exc), path=p.name) from exc
+    docs = [_decode(p.read_text(), model.graphs_from_dict, p.name) for p in graph_paths]
     _check_ids([g.dashboard_id for g in docs])
     docs.sort(key=lambda g: g.dashboard_id)
     return docs
@@ -179,8 +193,8 @@ def _cmd_graph(args, out: _Outputs) -> int:
     if source.is_dir():
         source = source / "dashboards.ndjson"
     dashboards = [
-        model.dashboard_from_dict(json.loads(line))
-        for line in source.read_text().splitlines()
+        _decode(line, model.dashboard_from_dict, f"{source.name}:{number}")
+        for number, line in enumerate(source.read_text().splitlines(), start=1)
         if line.strip()
     ]
     _check_ids([d.id for d in dashboards])

@@ -4,11 +4,14 @@ The pipeline follows the classic hierarchical density-based scheme:
 
 1. core distance of each point = distance to its ``min_samples``-th
    nearest neighbor (the point itself counts as the first), computed
-   once per unique row over the unique rows weighted by multiplicity,
+   once per unique row over the unique rows weighted by multiplicity;
+   for k = min(min_samples, unique rows) <= 32 each unordered pair of
+   unique rows is measured once, in blocks of 32 rows,
 2. mutual reachability d_mr(a, b) = max(core(a), core(b), d(a, b)),
 3. minimum spanning tree of the complete mutual-reachability graph
-   (Prim's algorithm; each step measures the newest tree vertex against
-   the vertices still outside the tree only, no spatial index),
+   (Prim's algorithm over groups of identical rows: only a group's
+   first row to join is measured, against the groups with no row in the
+   tree yet; no spatial index),
 4. single-linkage hierarchy from the MST edges in ascending weight order,
 5. condensation of the hierarchy at ``min_cluster_size``,
 6. excess-of-mass cluster selection by stability,
@@ -19,15 +22,20 @@ Steps 1-4 depend on ``min_samples`` alone and build the hierarchy
 ``min_cluster_size`` (:func:`_select`), so a sweep over sizes shares one
 hierarchy per ``min_samples``.
 
-Distances are exact O(n^2); determinism everywhere via ascending-index
-tie-breaking.  A spatial index would speed up step 1-3 on large corpora
-but is deliberately left out.  Every distance, in clustering and in
-silhouette, comes from the one kernel :func:`_row_distances`, so skipping
-distances that are not needed never changes the bits of those that are.
+Distances are exact, O(m^2) in the m unique rows: steps 1 and 3 and
+the silhouette measure each distinct row, not each row, and step 1 each
+unordered pair once when ``min_samples`` is small.  Determinism
+everywhere via ascending-index tie-breaking.  A spatial index would
+speed up steps 1-3 on large corpora but is deliberately left out.  Every
+distance, in clustering and in silhouette, comes from the one kernel
+:func:`_row_distances` on the same rows, and d(a, b) = d(b, a) bit for
+bit, so skipping distances that are not needed, or taking one from the
+other end of the pair, never changes the bits of those that are used.
 """
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -98,19 +106,39 @@ def _row_distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
+# Unique rows per block of the symmetric core-distance pass, which runs
+# when k = min(min_samples, unique rows) is at most this; above it the
+# per-row loop measured faster (k = 40 and k = 250).
+_CORE_BLOCK = 32
+# Later rows whose candidates one merge step updates together; bounds the
+# merge's scratch arrays.
+_MERGE_ROWS = 128
+
+
 def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
     """Distance from each row to its ``min_samples``-th nearest row.
 
     Identical rows share their distances, so each unique row is measured
-    against the unique rows only.  The ``min(min_samples, m)`` nearest of
-    them, ordered by (distance, index), hold the answer: it is the first
-    whose cumulative multiplicity reaches ``min_samples``.  Every value
-    is a ``_row_distances`` result, so the bits equal a per-row loop over
-    all n rows.
+    against the unique rows only.  The ``k = min(min_samples, m)``
+    nearest of them hold the answer: ordered by distance, it is the
+    first whose cumulative multiplicity reaches ``min_samples``.  Every
+    value is a ``_row_distances`` result, so the bits equal a per-row
+    loop over all n rows.
     """
     U, inverse, counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)
+    k = min(min_samples, U.shape[0])
+    if k <= _CORE_BLOCK:
+        core_u = _core_distances_symmetric(U, counts, min_samples, k)
+    else:
+        core_u = _core_distances_per_row(U, counts, min_samples, k)
+    return core_u[inverse.reshape(-1)]
+
+
+def _core_distances_per_row(
+    U: np.ndarray, counts: np.ndarray, min_samples: int, k: int
+) -> np.ndarray:
+    """Each unique row against all unique rows, one row at a time."""
     m = U.shape[0]
-    k = min(min_samples, m)
     core_u = np.empty(m)
     for u in range(m):
         d = _row_distances(U, U[u])
@@ -118,10 +146,67 @@ def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
         nearest = nearest[np.argsort(d[nearest], kind="stable")]
         reached = np.searchsorted(np.cumsum(counts[nearest]), min_samples)
         core_u[u] = d[nearest[reached]]
-    return core_u[inverse.reshape(-1)]
+    return core_u
 
 
-# Share of dead (already in-tree) entries in Prim's out-of-tree arrays at
+def _core_distances_symmetric(
+    U: np.ndarray, counts: np.ndarray, min_samples: int, k: int
+) -> np.ndarray:
+    """Each unordered pair of unique rows measured once, for small k.
+
+    Rows go in blocks of ``_CORE_BLOCK``; each block row is measured
+    against the rows from the block's start onward, and d(i, j) = d(j, i)
+    bit for bit because (a - b)^2 = (b - a)^2.  A later row keeps the k
+    smallest (distance, multiplicity) candidates the blocks before it
+    offered, partitioned so that the k-th smallest is last, and merges a
+    block's column only where the column's minimum beats that k-th
+    candidate.  When its own block comes, those candidates and its own
+    measured row give its core distance: ordered by distance, the first
+    whose cumulative multiplicity reaches ``min_samples``.
+    """
+    m = U.shape[0]
+    core_u = np.empty(m)
+    cand_d = np.full((m, k), np.inf)
+    cand_w = np.zeros((m, k), dtype=counts.dtype)
+    block = np.empty((min(_CORE_BLOCK, m), m))
+    for lo in range(0, m, _CORE_BLOCK):
+        hi = min(lo + _CORE_BLOCK, m)
+        tail = U[lo:]
+        near = min(k, m - lo)
+        D = block[: hi - lo, : m - lo]
+        nearest = np.empty((hi - lo, near), dtype=np.intp)
+        for r in range(hi - lo):
+            D[r] = _row_distances(tail, U[lo + r])
+            nearest[r] = np.argpartition(D[r], near - 1)[:near]
+        d = np.concatenate([cand_d[lo:hi], np.take_along_axis(D, nearest, axis=1)], axis=1)
+        w = np.concatenate([cand_w[lo:hi], counts[lo + nearest]], axis=1)
+        order = np.argsort(d, axis=1, kind="stable")
+        reached = (np.cumsum(np.take_along_axis(w, order, axis=1), axis=1) < min_samples).sum(axis=1)
+        core_u[lo:hi] = np.take_along_axis(d, order, axis=1)[np.arange(hi - lo), reached]
+
+        later = D[:, hi - lo :]
+        beats = hi + np.flatnonzero(later.min(axis=0) < cand_d[hi:, k - 1])
+        for part in range(0, beats.shape[0], _MERGE_ROWS):
+            rows = beats[part : part + _MERGE_ROWS]
+            _keep_nearest(cand_d, cand_w, rows, later[:, rows - hi].T, counts[lo:hi])
+    return core_u
+
+
+def _keep_nearest(
+    cand_d: np.ndarray, cand_w: np.ndarray, rows: np.ndarray, d: np.ndarray, w: np.ndarray
+) -> None:
+    """Merge new distances ``d`` (one row per entry of ``rows``), of
+    multiplicities ``w``, into those rows' candidates, keeping the k
+    smallest with the k-th last."""
+    k = cand_d.shape[1]
+    d = np.concatenate([cand_d[rows], d], axis=1)
+    w = np.concatenate([cand_w[rows], np.broadcast_to(w, d[:, k:].shape)], axis=1)
+    keep = np.argpartition(d, k - 1, axis=1)[:, :k]
+    cand_d[rows] = np.take_along_axis(d, keep, axis=1)
+    cand_w[rows] = np.take_along_axis(w, keep, axis=1)
+
+
+# Share of dead (already joined) entries in Prim's fresh-group arrays at
 # which they are compacted away.
 _COMPACT_SHARE = 1 / 8
 
@@ -136,40 +221,86 @@ def _mutual_reachability_mst(X: np.ndarray, core: np.ndarray) -> np.ndarray:
     that offered that weight, because a candidate edge is only replaced
     by a strictly lighter one.
 
-    Only vertices still outside the tree are measured against each new
-    tree vertex.  They are kept in ascending-index arrays (ids, rows,
-    core distances, best weight and its source); a vertex that joins is
-    marked dead and the arrays are compacted once dead entries exceed
-    ``_COMPACT_SHARE`` of them.  Ascending order keeps ``np.argmin``'s
-    first-minimum rule equal to the lowest-index rule.
+    Identical rows must have equal core distances (``ValueError``
+    otherwise), and then they always carry the same candidate edge, so
+    Prim runs over groups of identical rows.  A group is fresh until its
+    first (lowest-index) row joins, at weight w; only then is that row
+    measured, against the fresh groups only.  Its mates' reach drops to
+    their core distance c, taken strictly, so from then on they wait at
+    weight c with the joiner as source if w > c, or keep the joiner's
+    edge if w = c; nothing can beat c, and every later mate's distances
+    equal the first's, so no later mate is measured.  The next vertex is
+    the least (weight, index) among the fresh groups' first rows and the
+    waiting groups' next rows, so the edges equal the full-row Prim's.
+
+    Fresh groups are kept in arrays ordered by first row, so
+    ``np.argmin``'s first-minimum rule is the lowest-index rule; a group
+    that joins is marked dead and the arrays are compacted once dead
+    entries exceed ``_COMPACT_SHARE`` of them.  Waiting groups sit in a
+    heap keyed by (weight, next row).
     """
     n = X.shape[0]
+    inverse, counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)[1:]
+    inverse = inverse.reshape(-1)
+    members = np.argsort(inverse, kind="stable")  # each group's rows, ascending
+    end = np.cumsum(counts)
+    nxt = end - counts  # position in ``members`` of each group's next row
+    first = members[nxt]
+    core_u = core[first]
+    if not np.array_equal(core_u[inverse], core):
+        raise ValueError("core distances differ between identical rows")
+
+    gid = np.argsort(first)
+    first_f = first[gid]
+    rows, core_f = X[first_f], core_u[gid]
+    best_w = np.full(gid.shape[0], np.inf)
+    best_src = np.zeros(gid.shape[0], dtype=np.intp)
+    alive = np.ones(gid.shape[0], dtype=bool)
+    n_fresh, dead = gid.shape[0], 0
+    waiting: list[tuple[float, int, int, int]] = []  # (weight, next row, group, source)
+
     edges = np.empty((n - 1, 3))
-    ids = np.arange(1, n)
-    rows = X[1:]
-    core_out = core[1:]
-    best_w = np.full(n - 1, np.inf)
-    best_src = np.zeros(n - 1, dtype=np.intp)
-    alive = np.ones(n - 1, dtype=bool)
-    dead = 0
-    current = 0
-    for k in range(n - 1):
-        d = _row_distances(rows, X[current])
-        reach = np.maximum(np.maximum(core_out, core[current]), d)
-        closer = alive & (reach < best_w)
-        best_w[closer] = reach[closer]
-        best_src[closer] = current
-        j = int(np.argmin(best_w))
-        current = int(ids[j])
-        edges[k] = (best_src[j], current, best_w[j])
-        best_w[j] = np.inf
-        alive[j] = False
-        dead += 1
-        if dead > _COMPACT_SHARE * ids.shape[0]:
-            ids, rows, core_out = ids[alive], rows[alive], core_out[alive]
-            best_w, best_src = best_w[alive], best_src[alive]
-            alive = np.ones(ids.shape[0], dtype=bool)
-            dead = 0
+    # Step k adds the k-th vertex to the tree, by edges[k - 1]: the first
+    # row of fresh slot j at weight w, or, when j is -1, the next row of
+    # the first waiting group.  Vertex 0 starts the tree.
+    j, w = 0, np.inf
+    for k in range(n):
+        if j >= 0:
+            x, g = int(first_f[j]), int(gid[j])
+            if k:
+                edges[k - 1] = (best_src[j], x, w)
+            nxt[g] += 1
+            if nxt[g] < end[g]:
+                source = x if w > core_u[g] else int(best_src[j])
+                heapq.heappush(waiting, (float(core_u[g]), int(members[nxt[g]]), g, source))
+            alive[j] = False
+            best_w[j] = np.inf
+            n_fresh -= 1
+            dead += 1
+            if n_fresh:
+                d = _row_distances(rows, rows[j])
+                reach = np.maximum(np.maximum(core_f, core_f[j]), d)
+                closer = alive & (reach < best_w)
+                best_w[closer] = reach[closer]
+                best_src[closer] = x
+                if dead > _COMPACT_SHARE * gid.shape[0]:
+                    gid, rows, core_f, first_f = gid[alive], rows[alive], core_f[alive], first_f[alive]
+                    best_w, best_src = best_w[alive], best_src[alive]
+                    alive = np.ones(gid.shape[0], dtype=bool)
+                    dead = 0
+                jf = int(np.argmin(best_w))
+        else:
+            c, x, g, source = heapq.heappop(waiting)
+            edges[k - 1] = (source, x, c)
+            nxt[g] += 1
+            if nxt[g] < end[g]:
+                heapq.heappush(waiting, (c, int(members[nxt[g]]), g, source))
+        if k == n - 1:
+            break
+        if waiting and (not n_fresh or waiting[0][:2] < (float(best_w[jf]), int(first_f[jf]))):
+            j = -1
+        else:
+            j, w = jf, best_w[jf]
     return edges
 
 
@@ -392,8 +523,11 @@ def silhouette(matrix: Any, labels: Sequence[int]) -> SilhouetteScores:
     score 0, as does the degenerate all-zero case.
 
     Distances are taken to clustered rows only, gathered in label order
-    so that each cluster is one contiguous column span; a cluster's rows
-    are scored in tiles, with one sum or mean per cluster per tile.
+    so that each cluster is one contiguous column span.  A row's a and b
+    depend only on its values and its cluster, so each distinct row of a
+    cluster is scored once and its score copied to its duplicates.  A
+    cluster's distinct rows are scored in tiles, with one sum or mean per
+    cluster per tile, each over every row of that cluster's span.
     """
     X = _as_matrix(matrix)
     labels = np.asarray(labels, dtype=int)
@@ -406,6 +540,7 @@ def silhouette(matrix: Any, labels: Sequence[int]) -> SilhouetteScores:
     members = {c: np.flatnonzero(labels == c) for c in cluster_labels}
     pooled = np.concatenate([members[c] for c in cluster_labels])
     Xp = X[pooled]
+    row_group = np.unique(Xp, axis=0, return_inverse=True)[1].reshape(-1)
     bounds = np.cumsum([0] + [members[c].shape[0] for c in cluster_labels]).tolist()
     spans = list(zip(bounds[:-1], bounds[1:]))
     scores = np.zeros(X.shape[0])
@@ -414,14 +549,17 @@ def silhouette(matrix: Any, labels: Sequence[int]) -> SilhouetteScores:
         if own_size == 1:
             continue  # singleton clusters score 0
         others = [span for o, span in enumerate(spans) if o != own]
-        for start in range(lo, hi, _SILHOUETTE_TILE):
-            stop = min(start + _SILHOUETTE_TILE, hi)
-            D = np.stack([_row_distances(Xp, x) for x in Xp[start:stop]])
-            a_tile = D[:, lo:hi].sum(axis=1) / (own_size - 1)  # exclude self (distance 0)
-            b_tile = np.min([D[:, o_lo:o_hi].mean(axis=1) for o_lo, o_hi in others], axis=0)
-            for i, a, b in zip(pooled[start:stop], a_tile, b_tile):
-                denom = max(a, b)
-                scores[i] = (b - a) / denom if denom > 0 else 0.0
+        _, distinct, copies = np.unique(row_group[lo:hi], return_index=True, return_inverse=True)
+        distinct_scores = np.zeros(distinct.shape[0])
+        for start in range(0, distinct.shape[0], _SILHOUETTE_TILE):
+            tile = lo + distinct[start : start + _SILHOUETTE_TILE]
+            D = np.stack([_row_distances(Xp, Xp[i]) for i in tile])
+            a = D[:, lo:hi].sum(axis=1) / (own_size - 1)  # exclude self (distance 0)
+            b = np.min([D[:, o_lo:o_hi].mean(axis=1) for o_lo, o_hi in others], axis=0)
+            denom = np.maximum(a, b)
+            out = distinct_scores[start : start + tile.shape[0]]
+            np.divide(b - a, denom, out=out, where=denom > 0)
+        scores[pooled[lo:hi]] = distinct_scores[copies.reshape(-1)]
 
     per_cluster = {c: float(scores[members[c]].mean()) for c in cluster_labels}
     return SilhouetteScores(per_cluster=per_cluster, overall=float(scores[pooled].mean()))

@@ -201,6 +201,41 @@ def test_analyze_and_lint_reject_edge_to_missing_node(tmp_path, capsys):
         assert not out.exists()
 
 
+MALFORMED_GRAPH_DOCS = {
+    "truncated-json": '{"nodes": []',
+    "no-dashboard-id": '{"nodes": []}',
+    "node-without-type": '{"dashboard_id": "d1", "nodes": [{"id": "c"}]}',
+    "unknown-node-type": '{"dashboard_id": "d1", "nodes": [{"id": "c", "type": "bogus"}]}',
+    "array-document": "[]",
+    "node-not-an-object": '{"dashboard_id": "d1", "nodes": [1]}',
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_GRAPH_DOCS))
+def test_malformed_graph_document_is_a_schema_violation_naming_the_file(tmp_path, capsys, case):
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    (graphs / "d1.graph.json").write_text(MALFORMED_GRAPH_DOCS[case])
+    out = tmp_path / "out"
+    for stage in ("analyze", "lint"):
+        assert main([stage, "--input", str(graphs), "--out", str(out)]) == 2
+        error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+        assert (error["error"], error["stage"]) == ("SchemaViolation", stage)
+        assert error["message"].startswith("d1.graph.json: ")
+        assert not out.exists()
+
+
+def test_malformed_dashboard_line_is_a_schema_violation_naming_file_and_line(tmp_path, capsys):
+    good = {"id": "d1", "blocks": []}
+    (tmp_path / "dashboards.ndjson").write_text(json.dumps(good) + "\n[1, 2]\n")
+    out = tmp_path / "out"
+    assert main(["graph", "--input", str(tmp_path), "--out", str(out)]) == 2
+    error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+    assert (error["error"], error["stage"]) == ("SchemaViolation", "graph")
+    assert error["message"].startswith("dashboards.ndjson:2: ")
+    assert not out.exists()
+
+
 def test_repeated_block_id_fails_graph_and_later_stages(tmp_path, capsys):
     chart = {"type": "chart", "x": 0, "y": 0, "w": 10, "h": 10, "props": {"vis_type": "bar", "marks": ["bar"]}}
     doc = {"id": "d1", "blocks": [chart | {"id": "c1"}, chart | {"id": "c2"}, chart | {"id": "c2"}]}

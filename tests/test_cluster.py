@@ -161,26 +161,54 @@ def _tie_heavy_matrix(rng, n: int, width: int = 19) -> np.ndarray:
     return X
 
 
+def _duplicate_heavy_matrix(rng, n: int, n_distinct: int, width: int = 19) -> np.ndarray:
+    """``n`` rows drawn from ``n_distinct`` rows of scaled-feature-like
+    values, so most rows repeat and multiplicities vary."""
+    base = np.round(rng.normal(size=(n_distinct, width)), 2)
+    return base[rng.integers(0, n_distinct, size=n)]
+
+
+def _grouped_ends(X: np.ndarray) -> np.ndarray:
+    """``X`` with vertex 0 and the last vertex each in a group of
+    identical rows, so Prim's start and its final join both involve
+    duplicates."""
+    X = X.copy()
+    X[X.shape[0] // 2] = X[0]
+    X[-1] = X[1]
+    return X
+
+
 def test_mst_is_bit_identical_to_golden_prim():
     rng = np.random.default_rng(17)
     # Every size from 2 to 40 crosses each early compaction point of the
     # out-of-tree arrays; the larger sizes run many compactions.
     matrices = [_tie_heavy_matrix(rng, n) for n in list(range(2, 41)) + [63, 64, 65, 257, 600]]
     matrices.append(np.zeros((50, 19)))  # every weight ties
+    # Duplicate-heavy: groups of identical rows join through their first
+    # row and then wait at their core distance; with few distinct rows
+    # many groups hold min_samples rows or more, so their core is 0.
+    matrices += [
+        _grouped_ends(_duplicate_heavy_matrix(rng, n, d))
+        for n, d in ((3, 2), (12, 3), (40, 6), (90, 12), (200, 30), (400, 150), (600, 60))
+    ]
+    matrices += [_grouped_ends(_tie_heavy_matrix(rng, n)) for n in (5, 33, 300)]
+    zero_cores = 0
     for X in matrices:
         n = X.shape[0]
         for min_samples in {1, min(3, n), min(10, n)}:
             core = _core_distances(X, min_samples)
+            zero_cores += int(min_samples > 1 and (core == 0).any())
             mst = _mutual_reachability_mst(X, core)
             expected = golden_mutual_reachability_mst(X, core)
             assert np.array_equal(mst, expected), (n, min_samples)
+    assert zero_cores > 0  # some group holds at least min_samples > 1 rows
 
 
-def _duplicate_heavy_matrix(rng, n: int, n_distinct: int, width: int = 19) -> np.ndarray:
-    """``n`` rows drawn from ``n_distinct`` rows of scaled-feature-like
-    values, so most rows repeat and multiplicities vary."""
-    base = np.round(rng.normal(size=(n_distinct, width)), 2)
-    return base[rng.integers(0, n_distinct, size=n)]
+def test_mst_rejects_core_that_differs_between_identical_rows():
+    X = np.array([[0.0, 1.0], [2.0, 2.0], [0.0, 1.0]])
+    _mutual_reachability_mst(X, np.array([1.5, 2.0, 1.5]))
+    with pytest.raises(ValueError, match="identical rows"):
+        _mutual_reachability_mst(X, np.array([1.5, 2.0, 1.0]))
 
 
 def test_core_distances_are_bit_identical_to_golden_per_row_loop():
@@ -194,6 +222,23 @@ def test_core_distances_are_bit_identical_to_golden_per_row_loop():
         for min_samples in range(1, n + 1):
             got = _core_distances(X, min_samples)
             assert np.array_equal(got, golden_core_distances(X, min_samples)), (n, min_samples)
+
+    # Larger matrices on both sides of the symmetric pass's k <= 32 rule,
+    # with several blocks of unique rows and multiplicities that decide
+    # which neighbor is the min_samples-th.
+    larger = [
+        _duplicate_heavy_matrix(rng, 300, 120),
+        _duplicate_heavy_matrix(rng, 450, 400),
+        _duplicate_heavy_matrix(rng, 600, 45),
+        _tie_heavy_matrix(rng, 500),
+    ]
+    for X in larger:
+        for min_samples in (1, 2, 10, 31, 32, 33, 40):
+            got = _core_distances(X, min_samples)
+            assert np.array_equal(got, golden_core_distances(X, min_samples)), (
+                X.shape[0],
+                min_samples,
+            )
 
 
 def test_sweep_rows_equal_hdbscan_run_alone():
@@ -344,6 +389,18 @@ def test_silhouette_is_bit_identical_to_golden_on_tie_heavy_matrices():
             _assert_silhouette_is_golden(X, full)
 
 
+def test_silhouette_is_bit_identical_to_golden_when_rows_repeat():
+    rng = np.random.default_rng(29)
+    for n, n_distinct in ((30, 4), (120, 15), (400, 60)):
+        X = _duplicate_heavy_matrix(rng, n, n_distinct)
+        # Identical rows get different labels, so their scores differ by cluster.
+        labels = rng.integers(-1, 4, size=n)
+        _assert_silhouette_is_golden(X, labels)
+        # Identical rows share a label, so each cluster holds duplicates.
+        _, group = np.unique(X, axis=0, return_inverse=True)
+        _assert_silhouette_is_golden(X, group.reshape(-1) % 3)
+
+
 def test_silhouette_is_bit_identical_to_golden_on_clusterer_output():
     rng = np.random.default_rng(23)
     for n in (300, 700):
@@ -413,3 +470,54 @@ def test_sweep_reports_counts_and_coverage():
     for row in rows:
         assert 0.0 <= row["coverage"] <= 1.0
         assert row["n_clusters"] >= 1
+
+
+# --- distance work -------------------------------------------------------------
+
+
+def test_each_distinct_row_pair_is_measured_once(monkeypatch):
+    lengths: list[int] = []
+    kernel = cluster._row_distances
+
+    def counted(X, x):
+        lengths.append(X.shape[0])
+        return kernel(X, x)
+
+    monkeypatch.setattr(cluster, "_row_distances", counted)
+    rng = np.random.default_rng(37)
+    X = _duplicate_heavy_matrix(rng, 400, 150)
+    m = np.unique(X, axis=0).shape[0]
+
+    # k <= 32: each unordered pair of unique rows once, plus the pairs
+    # inside each block, which both of their rows measure.
+    block = cluster._CORE_BLOCK
+    overlap = sum(b * (b - 1) // 2 for b in (min(block, m - lo) for lo in range(0, m, block)))
+    core = _core_distances(X, 10)
+    assert len(lengths) == m
+    assert sum(lengths) == m * (m + 1) // 2 + overlap
+
+    # k > 32: the per-row loop, every unique row against all of them.
+    lengths.clear()
+    _core_distances(X, 40)
+    assert lengths == [m] * m
+
+    # Prim: only each group's first row is measured, against groups, not
+    # rows; the last group to join has no fresh group left to measure.
+    lengths.clear()
+    _mutual_reachability_mst(X, core)
+    assert len(lengths) == m - 1
+    assert max(lengths) == m < X.shape[0]
+
+    # Silhouette: each distinct row of each non-singleton cluster once,
+    # against every clustered row.
+    labels = rng.integers(-1, 5, size=X.shape[0])
+    labels[:2] = [5, 6]  # two singleton clusters, scored 0 unmeasured
+    lengths.clear()
+    silhouette(X, labels)
+    clustered = labels != -1
+    sizes = np.bincount(labels[clustered])
+    distinct = {
+        (int(c), X[i].tobytes()) for i, c in enumerate(labels) if c != -1 and sizes[c] > 1
+    }
+    assert len(lengths) == len(distinct)
+    assert set(lengths) == {int(clustered.sum())}
