@@ -4,7 +4,9 @@ Blocks, edges, and the two dashboard graphs
 
 Every dashboard is modeled as typed blocks (chart, text, filter, legend,
 multimedia) plus two graphs over them: an undirected adjacency graph for
-spatial structure and a directed interaction graph for behavior.  Each
+spatial structure and a directed interaction graph for behavior.  A
+graph node is a GraphNode: the block's id, type and, for a chart, its
+visualization type; geometry stays on the dashboard's blocks.  Each
 edge is a flat record: an AdjacencyEdge carries its spatial ``config``,
 an InteractionEdge its ``edge_class`` and declared ``itype``.  This
 walkthrough loads the three showcase dashboards and prints both graphs.
@@ -23,12 +25,15 @@ for name in ("fig_a", "fig_b", "fig_c"):
     # a well-formed dashboard has no invariant violations
     assert validate(dashboard) == []
 
-    graphs = build_graphs(dashboard)
     print(f"=== {dashboard.id} ===")
-    print(f"blocks ({len(graphs.nodes)}):")
-    for block in graphs.nodes:
+    print(f"blocks ({len(dashboard.blocks)}):")
+    for block in dashboard.blocks:
         print(f"  {block.id:<16} {block.block_type.value:<11} "
               f"at ({block.x},{block.y}) size {block.w}x{block.h}")
+
+    # graph nodes keep a block's id and type, plus a chart's vis_type
+    graphs = build_graphs(dashboard)
+    print("chart nodes:", {n.id: n.vis_type for n in graphs.nodes if n.vis_type is not None})
 
     print(f"adjacency edges ({len(graphs.adjacency_edges)}):")
     for edge in graphs.adjacency_edges:

@@ -44,8 +44,8 @@ for graphs in corpus:
 # the classic defect: a centrally placed filter wired to only two of the
 # three charts it sits next to
 def chart(block_id, y):
-    from dashmine.model import ChartProps, ChartType
-    props = ChartProps(vis_type=ChartType("bar"), marks=("bar",), encodings=(("column", "f"),))
+    from dashmine.model import ChartProps
+    props = ChartProps(vis_type="bar", marks=("bar",), encodings=(("column", "f"),))
     return Block(id=block_id, block_type=BlockType.CHART, x=0, y=y, w=100, h=100, props=props)
 
 flawed = Dashboard(

@@ -49,11 +49,11 @@ from .model import (
     Block,
     BlockType,
     ChartProps,
-    ChartType,
     Dashboard,
     DashboardGraphs,
     EdgeClass,
     FilterProps,
+    GraphNode,
     InteractionEdge,
     LegendProps,
     MultimediaProps,

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Iterable, Mapping, Sequence
 
-from .model import Block, DashboardGraphs
+from .model import DashboardGraphs, GraphNode
 
 
 def _adjacency_sets(
@@ -56,21 +56,19 @@ def maximal_cliques(
     return cliques
 
 
-def clique_pattern(clique: Iterable[str], blocks: Mapping[str, Block] | Sequence[Block]) -> str:
+def clique_pattern(clique: Iterable[str], nodes: Mapping[str, GraphNode]) -> str:
     """Canonical block-type pattern of a clique, e.g. ``chart|chart|filter``.
 
     Any permutation of the same type multiset yields the same string.
     """
-    if not isinstance(blocks, Mapping):
-        blocks = {b.id: b for b in blocks}
-    return "|".join(sorted(blocks[v].block_type.value for v in clique))
+    return "|".join(sorted(nodes[v].block_type.value for v in clique))
 
 
 def count_clique_patterns(
-    cliques: Iterable[Iterable[str]], blocks: Mapping[str, Block]
+    cliques: Iterable[Iterable[str]], nodes: Mapping[str, GraphNode]
 ) -> dict[str, int]:
     """How many of ``cliques`` have each block-type pattern, sorted by pattern."""
-    return dict(sorted(Counter(clique_pattern(c, blocks) for c in cliques).items()))
+    return dict(sorted(Counter(clique_pattern(c, nodes) for c in cliques).items()))
 
 
 def average_shortest_path(node_ids: Sequence[str], edges: Iterable[tuple[str, str]]) -> float:

@@ -221,7 +221,7 @@ def _cmd_analyze(args, out: _Outputs) -> int:
 def _load_manifest(path: str | None) -> features.FeatureManifest:
     if path is None:
         return features.default_manifest()
-    return features.FeatureManifest.from_dict(json.loads(Path(path).read_text()))
+    return _decode(Path(path).read_text(), features.FeatureManifest.from_dict, Path(path).name)
 
 
 def _cmd_features(args, out: _Outputs) -> int:
@@ -251,7 +251,8 @@ def _cmd_fit_scaler(args, out: _Outputs) -> int:
 def _cmd_scale(args, out: _Outputs) -> int:
     fp = _fingerprint({"stage": "scale"})
     manifest, vectors = features.matrix_from_csv(Path(args.input).read_text())
-    scaler = features.Scaler.from_dict(json.loads(Path(args.scaler).read_text()))
+    scaler_path = Path(args.scaler)
+    scaler = _decode(scaler_path.read_text(), features.Scaler.from_dict, scaler_path.name)
     if scaler.manifest.names != manifest.names:
         raise features.ManifestMismatch("scaler manifest does not match the feature CSV header")
     scaled = [features.apply_scaler(scaler, v) for v in vectors]

@@ -48,7 +48,7 @@ class TooFewRows(DashmineError):
 
 
 class NonFiniteInput(DashmineError):
-    """Clustering input contains NaN or infinite values."""
+    """A feature matrix, scaler or clustering input contains NaN or infinite values."""
 
 
 class FewerThanTwoClusters(DashmineError):

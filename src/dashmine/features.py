@@ -17,6 +17,7 @@ from __future__ import annotations
 import csv
 import io
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
@@ -27,7 +28,7 @@ import numpy as np
 # and features.maximal_cliques, and every traced run fails if either
 # name is missing.
 from .analysis import analyze_graphs, average_shortest_path, maximal_cliques  # noqa: F401
-from .errors import EmptyCorpus, ManifestMismatch
+from .errors import EmptyCorpus, ManifestMismatch, NonFiniteInput
 from .model import BlockType, DashboardGraphs, EdgeClass
 
 _BLOCK_FLAGS = {
@@ -187,14 +188,17 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, obj: Mapping[str, Any]) -> "Scaler":
+        """Read a scaler document; a non-finite mean or std raises :class:`NonFiniteInput`."""
         manifest = FeatureManifest(
             names=tuple(obj["manifest"]), version=str(obj.get("manifest_version", "1"))
         )
+        mean = tuple(float(x) for x in obj["mean"])
+        std = tuple(float(x) for x in obj["std"])
+        for key, values in (("mean", mean), ("std", std)):
+            if not all(map(math.isfinite, values)):
+                raise NonFiniteInput(f"scaler {key} contains NaN or infinite values")
         return cls(
-            manifest=manifest,
-            mean=tuple(float(x) for x in obj["mean"]),
-            std=tuple(float(x) for x in obj["std"]),
-            constant=tuple(bool(x) for x in obj["constant"]),
+            manifest=manifest, mean=mean, std=std, constant=tuple(bool(x) for x in obj["constant"])
         )
 
 
@@ -285,7 +289,8 @@ def matrix_from_csv(
     """Parse a feature matrix CSV (leading ``#`` comment lines allowed).
 
     Only the lines before the header are comments; a later row whose
-    dashboard id starts with ``#`` is data.
+    dashboard id starts with ``#`` is data.  A NaN or infinite value
+    raises :class:`NonFiniteInput` naming its row and column.
     """
     reader = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), text.splitlines()))
     try:
@@ -295,13 +300,15 @@ def matrix_from_csv(
     if not header or header[0] != "dashboard_id":
         raise ValueError("feature CSV must start with a dashboard_id column")
     manifest = FeatureManifest(names=tuple(header[1:]))
-    vectors = [
-        FeatureVector(
-            dashboard_id=row[0],
-            values=tuple(float(x) for x in row[1:]),
-            scaled=scaled,
-        )
-        for row in reader
-        if row
-    ]
+    vectors = []
+    for row in reader:
+        if not row:
+            continue
+        values = tuple(float(x) for x in row[1:])
+        if not all(map(math.isfinite, values)):
+            column = next(name for name, x in zip(header[1:], values) if not math.isfinite(x))
+            raise NonFiniteInput(
+                f"feature CSV row {row[0]!r}, column {column!r} is not a finite number"
+            )
+        vectors.append(FeatureVector(dashboard_id=row[0], values=values, scaled=scaled))
     return manifest, vectors

@@ -29,6 +29,7 @@ from .model import (
     BlockType,
     Dashboard,
     DashboardGraphs,
+    GraphNode,
     InteractionEdge,
     classify_interaction,
 )
@@ -129,33 +130,36 @@ def build_interaction_graph(
     return edges
 
 
-def max_possible_interactions(blocks: Sequence[Block]) -> int:
+def max_possible_interactions(nodes: Sequence[GraphNode]) -> int:
     """Upper bound on interaction edges: (charts-1+legends+filters)*charts.
 
     Every filter and legend may drive every chart, and every chart may
     drive every other chart.  Zero charts admit no interactions.
     """
-    n_charts = sum(1 for b in blocks if b.block_type is BlockType.CHART)
+    n_charts = sum(1 for n in nodes if n.block_type is BlockType.CHART)
     if n_charts == 0:
         return 0
-    n_legends = sum(1 for b in blocks if b.block_type is BlockType.LEGEND)
-    n_filters = sum(1 for b in blocks if b.block_type is BlockType.FILTER)
+    n_legends = sum(1 for n in nodes if n.block_type is BlockType.LEGEND)
+    n_filters = sum(1 for n in nodes if n.block_type is BlockType.FILTER)
     return (n_charts - 1 + n_legends + n_filters) * n_charts
 
 
 def build_graphs(dashboard: Dashboard, tol: Tolerance = Tolerance()) -> DashboardGraphs:
     """Derive the adjacency and interaction graphs of one dashboard.
 
-    Both graphs are keyed by block id, so a repeated id raises :class:`SchemaViolation`.
+    Each block becomes a :class:`GraphNode` (id, type and, for a chart,
+    its ``vis_type``); geometry and other props stay on the dashboard.
+    Both graphs are keyed by block id, so a repeated id raises
+    :class:`SchemaViolation`.
     """
-    ids: set[str] = set()
-    for block in dashboard.blocks:
-        if block.id in ids:
-            raise SchemaViolation(f"dashboard {dashboard.id!r}: repeated block id {block.id!r}")
-        ids.add(block.id)
     return DashboardGraphs(
         dashboard_id=dashboard.id,
-        nodes=dashboard.blocks,
+        nodes=tuple(
+            GraphNode(
+                b.id, b.block_type, b.props.vis_type if b.block_type is BlockType.CHART else None
+            )
+            for b in dashboard.blocks
+        ),
         adjacency_edges=tuple(build_adjacency_graph(dashboard.blocks, tol)),
         interaction_edges=tuple(build_interaction_graph(dashboard)),
     )

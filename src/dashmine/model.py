@@ -6,7 +6,9 @@ spatial (partial overlap, containment, adjoining) and an
 :class:`InteractionEdge` is behavioral (a filter, legend or chart
 driving a chart).  The two derived graphs over the same node set -- an
 undirected adjacency graph and a directed interaction graph -- are
-bundled in :class:`DashboardGraphs`.
+bundled in :class:`DashboardGraphs`, whose nodes are :class:`GraphNode`
+records: a block's id, type and, for a chart, its visualization type,
+which is all a graph document keeps.
 
 All types are immutable value objects after construction.
 """
@@ -46,21 +48,9 @@ class MultimediaKind(str, Enum):
 
 
 @dataclass(frozen=True)
-class ChartType:
-    """Visualization type of a chart block.
-
-    :func:`infer_vis_type` yields the canonical names (bar, line, map,
-    table, pie, scatter, area); any other name is preserved verbatim
-    (bespoke charts such as sankey diagrams stay identifiable instead of
-    erroring).
-    """
-
-    name: str
-
-
-@dataclass(frozen=True)
 class ChartProps:
-    vis_type: ChartType
+    # See infer_vis_type for the canonical names; any other is kept verbatim.
+    vis_type: str
     marks: tuple[str, ...] = ()
     encodings: tuple[tuple[str, str], ...] = ()
     # Unrecognized type-specific parameters ride along untouched.
@@ -185,23 +175,47 @@ class Dashboard:
 
 
 @dataclass(frozen=True)
+class GraphNode:
+    """A block as a graph node: ``vis_type`` is set for charts, else None."""
+
+    id: str
+    block_type: BlockType
+    vis_type: str | None
+
+
+@dataclass(frozen=True)
 class DashboardGraphs:
     """The paired adjacency and interaction graphs of one dashboard.
 
     Both graphs share the identical node set (``nodes``); only the edge
-    lists differ.
+    lists differ.  A repeated node id, or an edge whose endpoint is not
+    a node, raises :class:`SchemaViolation`.
     """
 
     dashboard_id: str
-    nodes: tuple[Block, ...]
+    nodes: tuple[GraphNode, ...]
     adjacency_edges: tuple[AdjacencyEdge, ...] = ()
     interaction_edges: tuple[InteractionEdge, ...] = ()
 
-    def nodes_by_id(self) -> dict[str, Block]:
-        return {b.id: b for b in self.nodes}
+    def __post_init__(self):
+        where = f"dashboard {self.dashboard_id!r}"
+        node_ids: set[str] = set()
+        for node in self.nodes:
+            if node.id in node_ids:
+                raise SchemaViolation(f"{where}: repeated node id {node.id!r}")
+            node_ids.add(node.id)
+        for kind, edges in (("adjacency", self.adjacency_edges), ("interaction", self.interaction_edges)):
+            for e in edges:
+                if e.source not in node_ids or e.target not in node_ids:
+                    raise SchemaViolation(
+                        f"{where}: {kind} edge {e.source!r} -> {e.target!r} has an endpoint that is not a node"
+                    )
+
+    def nodes_by_id(self) -> dict[str, GraphNode]:
+        return {n.id: n for n in self.nodes}
 
 
-def infer_vis_type(marks: Iterable[str], encodings: Iterable[tuple[str, str]]) -> ChartType:
+def infer_vis_type(marks: Iterable[str], encodings: Iterable[tuple[str, str]]) -> str:
     """Derive the visualization type from marks and encoding channels.
 
     Rule table, first match wins:
@@ -221,21 +235,21 @@ def infer_vis_type(marks: Iterable[str], encodings: Iterable[tuple[str, str]]) -
     marks = tuple(marks)
     channels = {c for c, _ in encodings}
     if "geo" in channels:
-        return ChartType("map")
+        return "map"
     primary = marks[0] if marks else None
     if primary == "bar":
-        return ChartType("bar")
+        return "bar"
     if primary == "line":
-        return ChartType("line")
+        return "line"
     if primary == "text" and {"row", "column"} <= channels:
-        return ChartType("table")
+        return "table"
     if primary == "pie":
-        return ChartType("pie")
+        return "pie"
     if primary == "circle" and {"row", "column"} <= channels:
-        return ChartType("scatter")
+        return "scatter"
     if primary == "area":
-        return ChartType("area")
-    return ChartType(primary if primary is not None else "unknown")
+        return "area"
+    return primary if primary is not None else "unknown"
 
 
 def classify_interaction(source_type: BlockType, target_type: BlockType) -> EdgeClass | None:
@@ -280,7 +294,7 @@ def validate(dashboard: Dashboard) -> list[str]:
             if block.props.vis_type != inferred:
                 violations.append(
                     f"chart type mismatch for block {block.id}: "
-                    f"declared {block.props.vis_type.name!r}, marks/encodings imply {inferred.name!r}"
+                    f"declared {block.props.vis_type!r}, marks/encodings imply {inferred!r}"
                 )
     ids = {b.id for b in dashboard.blocks}
     for action in dashboard.declared_interactions:
@@ -302,18 +316,15 @@ def validate(dashboard: Dashboard) -> list[str]:
 
 
 _KNOWN_PROP_KEYS: dict[BlockType, frozenset[str]] = {
-    BlockType.CHART: frozenset({"vis_type", "marks", "encodings"}),
-    BlockType.TEXT: frozenset({"content", "formatting"}),
-    BlockType.FILTER: frozenset({"widget", "field"}),
-    BlockType.LEGEND: frozenset({"channel"}),
-    BlockType.MULTIMEDIA: frozenset({"kind"}),
+    t: frozenset(f.name for f in dataclasses.fields(cls)) - {"extra"}
+    for t, cls in _PROPS_FOR_TYPE.items()
 }
 
 
 def props_to_dict(props: DescriptiveProps) -> dict[str, Any]:
     if isinstance(props, ChartProps):
         doc: dict[str, Any] = {
-            "vis_type": props.vis_type.name,
+            "vis_type": props.vis_type,
             "marks": list(props.marks),
             "encodings": [list(e) for e in props.encodings],
         }
@@ -340,7 +351,7 @@ def props_from_dict(block_type: BlockType, obj: Mapping[str, Any]) -> Descriptiv
     extra = _extra_props(block_type, obj)
     if block_type is BlockType.CHART:
         return ChartProps(
-            vis_type=ChartType(str(obj.get("vis_type", "unknown"))),
+            vis_type=str(obj.get("vis_type", "unknown")),
             marks=tuple(obj.get("marks", ())),
             encodings=tuple((str(c), str(f)) for c, f in obj.get("encodings", ())),
             extra=extra,
@@ -415,20 +426,19 @@ def dashboard_from_dict(obj: Mapping[str, Any]) -> Dashboard:
     )
 
 
-def _node_to_dict(block: Block) -> dict[str, Any]:
-    doc = {"id": block.id, "type": block.block_type.value}
-    if isinstance(block.props, ChartProps):
-        doc["vis_type"] = block.props.vis_type.name
+def _node_to_dict(node: GraphNode) -> dict[str, Any]:
+    doc = {"id": node.id, "type": node.block_type.value}
+    if node.vis_type is not None:
+        doc["vis_type"] = node.vis_type
     return doc
 
 
 def graphs_to_dict(graphs: DashboardGraphs) -> dict[str, Any]:
-    """Graph document: nodes keep only id, type and, for charts, the
-    visualization type (geometry is not round-tripped; downstream stages
-    never need it)."""
+    """Graph document: each node as ``{"id", "type"}``, plus ``"vis_type"``
+    for a chart, and both edge lists; :func:`graphs_from_dict` inverts it."""
     return {
         "dashboard_id": graphs.dashboard_id,
-        "nodes": [_node_to_dict(b) for b in graphs.nodes],
+        "nodes": [_node_to_dict(n) for n in graphs.nodes],
         "adjacency": [
             {"source": e.source, "target": e.target, "config": e.config.value}
             for e in graphs.adjacency_edges
@@ -440,59 +450,32 @@ def graphs_to_dict(graphs: DashboardGraphs) -> dict[str, Any]:
     }
 
 
+def _node_from_dict(obj: Mapping[str, Any]) -> GraphNode:
+    block_type = BlockType(str(obj["type"]))
+    vis_type = str(obj.get("vis_type", "unknown")) if block_type is BlockType.CHART else None
+    return GraphNode(str(obj["id"]), block_type, vis_type)
+
+
 def graphs_from_dict(obj: Mapping[str, Any]) -> DashboardGraphs:
     """Rebuild a graph pair from a graph document.
 
-    Node positions are absent from graph documents, so nodes are
-    reconstructed as unit squares of the recorded type; a chart node
-    gets back its ``vis_type`` and no other props.  A repeated node id,
-    or an edge whose endpoint is not a node, raises :class:`SchemaViolation`.
+    A chart node without a ``vis_type`` reads as ``"unknown"``; a
+    non-chart node's ``vis_type`` is ignored.
     """
-    nodes = []
-    for n in obj.get("nodes", ()):
-        block_type = BlockType(str(n["type"]))
-        chart = block_type is BlockType.CHART and "vis_type" in n
-        props = {"vis_type": n["vis_type"]} if chart else {}
-        nodes.append(
-            Block(
-                id=str(n["id"]),
-                block_type=block_type,
-                x=0,
-                y=0,
-                w=1,
-                h=1,
-                props=props_from_dict(block_type, props),
-            )
-        )
-    adjacency = tuple(
-        AdjacencyEdge(str(e["source"]), str(e["target"]), AdjacencyConfig(str(e["config"])))
-        for e in obj.get("adjacency", ())
-    )
-    interaction = tuple(
-        InteractionEdge(
-            str(e["source"]),
-            str(e["target"]),
-            str(e.get("itype", "filter")),
-            EdgeClass(str(e["class"])),
-        )
-        for e in obj.get("interaction", ())
-    )
-    dashboard_id = str(obj["dashboard_id"])
-    node_ids: set[str] = set()
-    for b in nodes:
-        if b.id in node_ids:
-            raise SchemaViolation(f"dashboard {dashboard_id!r}: repeated node id {b.id!r}")
-        node_ids.add(b.id)
-    for kind, edges in (("adjacency", adjacency), ("interaction", interaction)):
-        for e in edges:
-            if e.source not in node_ids or e.target not in node_ids:
-                raise SchemaViolation(
-                    f"dashboard {dashboard_id!r}: {kind} edge {e.source!r} -> {e.target!r}"
-                    " has an endpoint that is not a node"
-                )
     return DashboardGraphs(
-        dashboard_id=dashboard_id,
-        nodes=tuple(nodes),
-        adjacency_edges=adjacency,
-        interaction_edges=interaction,
+        dashboard_id=str(obj["dashboard_id"]),
+        nodes=tuple(_node_from_dict(n) for n in obj.get("nodes", ())),
+        adjacency_edges=tuple(
+            AdjacencyEdge(str(e["source"]), str(e["target"]), AdjacencyConfig(str(e["config"])))
+            for e in obj.get("adjacency", ())
+        ),
+        interaction_edges=tuple(
+            InteractionEdge(
+                str(e["source"]),
+                str(e["target"]),
+                str(e.get("itype", "filter")),
+                EdgeClass(str(e["class"])),
+            )
+            for e in obj.get("interaction", ())
+        ),
     )

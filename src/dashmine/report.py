@@ -25,7 +25,7 @@ from typing import Any, Iterable, Sequence
 from .errors import EmptyCorpus
 from .analysis import count_clique_patterns, maximal_cliques
 from .geometry import max_possible_interactions
-from .model import BlockType, ChartProps, DashboardGraphs, EdgeClass
+from .model import BlockType, DashboardGraphs, EdgeClass
 
 
 def _mode(values: Iterable) -> Any:
@@ -83,9 +83,7 @@ def summarize_corpus(corpus: Sequence[DashboardGraphs]) -> dict[str, Any]:
         blocks_per_dashboard.append(len(graphs.nodes))
         for block in graphs.nodes:
             block_counts[block.block_type.value] += 1
-        chart_type_presence.update(
-            {b.props.vis_type.name for b in graphs.nodes if isinstance(b.props, ChartProps)}
-        )
+        chart_type_presence.update({n.vis_type for n in graphs.nodes if n.vis_type is not None})
 
         n_edges = len(graphs.interaction_edges)
         interactions_total += n_edges

@@ -25,7 +25,6 @@ from dashmine.errors import SchemaViolation
 from dashmine.geometry import max_possible_interactions
 from dashmine.model import (
     BlockType,
-    ChartProps,
     EdgeClass,
     InteractionEdge,
     classify_interaction,
@@ -593,8 +592,8 @@ def golden_summary(corpus) -> dict:
             block_counts[block.block_type.value] += 1
         seen_types = set()
         for block in graphs.nodes:
-            if isinstance(block.props, ChartProps):
-                seen_types.add(block.props.vis_type.name)
+            if block.block_type is BlockType.CHART:
+                seen_types.add(block.vis_type)
         for name in seen_types:
             chart_type_presence[name] = chart_type_presence.get(name, 0) + 1
 

@@ -9,7 +9,7 @@ from dashmine.analysis import (
     maximal_cliques,
 )
 from dashmine.geometry import build_graphs
-from dashmine.model import BlockType, DashboardGraphs
+from dashmine.model import BlockType, DashboardGraphs, GraphNode
 
 from conftest import make_block, random_dashboard
 from oracles import (
@@ -107,12 +107,12 @@ def test_cliques_invariant_under_relabeling():
 
 
 def test_clique_pattern_is_canonical():
-    blocks = [
-        make_block("C1", BlockType.CHART, 0, 0, 10, 10),
-        make_block("C2", BlockType.CHART, 20, 0, 10, 10),
-        make_block("F1", BlockType.FILTER, 40, 0, 10, 10),
-        make_block("M1", BlockType.MULTIMEDIA, 60, 0, 10, 10),
-    ]
+    blocks = {
+        "C1": GraphNode("C1", BlockType.CHART, "bar"),
+        "C2": GraphNode("C2", BlockType.CHART, "line"),
+        "F1": GraphNode("F1", BlockType.FILTER, None),
+        "M1": GraphNode("M1", BlockType.MULTIMEDIA, None),
+    }
     assert clique_pattern(["C1", "C2", "F1"], blocks) == "chart|chart|filter"
     assert clique_pattern(["F1", "C2", "C1"], blocks) == "chart|chart|filter"
     assert clique_pattern(["M1"], blocks) == "multimedia"
@@ -221,9 +221,9 @@ def test_analysis_document_counts_cliques_both_ways():
     graphs = DashboardGraphs(
         dashboard_id="d",
         nodes=(
-            make_block("a", BlockType.CHART, 0, 0, 10, 10),
-            make_block("b", BlockType.CHART, 10, 0, 10, 10),
-            make_block("iso", BlockType.MULTIMEDIA, 500, 500, 10, 10),
+            GraphNode("a", BlockType.CHART, "bar"),
+            GraphNode("b", BlockType.CHART, "bar"),
+            GraphNode("iso", BlockType.MULTIMEDIA, None),
         ),
         adjacency_edges=(AdjacencyEdge("a", "b", AdjacencyConfig.ADJOINING),),
     )

@@ -236,6 +236,75 @@ def test_malformed_dashboard_line_is_a_schema_violation_naming_file_and_line(tmp
     assert not out.exists()
 
 
+def _last_error(capsys) -> dict:
+    return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
+
+
+def test_parse_rejects_json_block_props_of_the_wrong_shape(tmp_path, capsys):
+    block = {"id": "c1", "type": "chart", "x": 0, "y": 0, "w": 10, "h": 10, "props": []}
+    (tmp_path / "d1.json").write_text(json.dumps({"id": "d1", "blocks": [block]}))
+    out = tmp_path / "out"
+    assert main(["parse", "--input", str(tmp_path / "d1.json"), "--out", str(out)]) == 2
+    error = _last_error(capsys)
+    assert (error["error"], error["stage"]) == ("SchemaViolation", "parse")
+    assert not out.exists()
+
+
+def _fixture_graphs(tmp_path: Path) -> Path:
+    work = tmp_path / "work"
+    inputs = [str(FIXTURES / f"fig_{x}.json") for x in ("a", "b", "c")]
+    assert main(["parse", "--input", *inputs, "--out", str(work)]) == 0
+    assert main(["graph", "--input", str(work), "--out", str(work)]) == 0
+    return work
+
+
+@pytest.mark.parametrize("manifest", ['{"names": 5}', "[1]"], ids=["names-not-a-list", "array"])
+def test_features_rejects_manifest_of_the_wrong_shape(tmp_path, capsys, manifest):
+    work = _fixture_graphs(tmp_path)
+    (tmp_path / "manifest.json").write_text(manifest)
+    out = tmp_path / "out"
+    argv = ["features", "--input", str(work), "--manifest", str(tmp_path / "manifest.json")]
+    assert main(argv + ["--out", str(out)]) == 2
+    error = _last_error(capsys)
+    assert (error["error"], error["stage"]) == ("SchemaViolation", "features")
+    assert error["message"].startswith("manifest.json: ")
+    assert not out.exists()
+
+
+def test_scale_rejects_scaler_of_the_wrong_shape(tmp_path, capsys):
+    work = _fixture_graphs(tmp_path)
+    assert main(["features", "--input", str(work), "--out", str(work)]) == 0
+    (tmp_path / "scaler.json").write_text("[]")
+    out = tmp_path / "out"
+    argv = ["scale", "--input", str(work / "features.csv"), "--scaler", str(tmp_path / "scaler.json")]
+    assert main(argv + ["--out", str(out)]) == 2
+    error = _last_error(capsys)
+    assert (error["error"], error["stage"]) == ("SchemaViolation", "scale")
+    assert error["message"].startswith("scaler.json: ")
+    assert not out.exists()
+
+
+def test_fit_scaler_and_scale_reject_non_finite_features(tmp_path, capsys):
+    work = _fixture_graphs(tmp_path)
+    assert main(["features", "--input", str(work), "--out", str(work)]) == 0
+    assert main(["fit-scaler", "--input", str(work / "features.csv"), "--out", str(work)]) == 0
+    lines = (work / "features.csv").read_text().splitlines()
+    row = lines[-1].split(",")
+    row[1] = "nan"
+    (tmp_path / "bad.csv").write_text("\n".join(lines[:-1] + [",".join(row)]) + "\n")
+    out = tmp_path / "out"
+    stages = {
+        "fit-scaler": ["fit-scaler", "--input", str(tmp_path / "bad.csv")],
+        "scale": ["scale", "--input", str(tmp_path / "bad.csv"), "--scaler", str(work / "scaler.json")],
+    }
+    for stage, argv in stages.items():
+        assert main(argv + ["--out", str(out)]) == 2
+        error = _last_error(capsys)
+        assert (error["error"], error["stage"]) == ("NonFiniteInput", stage)
+        assert f"{row[0]!r}" in error["message"] and "'n_blocks'" in error["message"]
+        assert not out.exists()
+
+
 def test_repeated_block_id_fails_graph_and_later_stages(tmp_path, capsys):
     chart = {"type": "chart", "x": 0, "y": 0, "w": 10, "h": 10, "props": {"vis_type": "bar", "marks": ["bar"]}}
     doc = {"id": "d1", "blocks": [chart | {"id": "c1"}, chart | {"id": "c2"}, chart | {"id": "c2"}]}

@@ -3,11 +3,12 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from dashmine.errors import EmptyCorpus, ManifestMismatch
+from dashmine.errors import EmptyCorpus, ManifestMismatch, NonFiniteInput
 from dashmine.features import (
     FEATURE_NAMES,
     FeatureManifest,
     FeatureVector,
+    Scaler,
     apply_scaler,
     default_manifest,
     extract_features,
@@ -236,3 +237,26 @@ def test_every_feature_column_matches_golden_table(fig_graphs):
         values = extract_features(graphs, all_columns).values
         for name, value in zip(FEATURE_NAMES, values):
             assert value == golden[name], (graphs.dashboard_id, name)
+
+
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_csv_with_a_non_finite_value_is_rejected_naming_row_and_column(token):
+    width = len(MANIFEST.names)
+    vectors = [FeatureVector(f"d{k}", tuple(float(k + j) for j in range(width))) for k in range(3)]
+    lines = matrix_to_csv(vectors, MANIFEST).splitlines()
+    cells = lines[2].split(",")
+    cells[1 + COL["adj_n_edges"]] = token
+    lines[2] = ",".join(cells)
+    with pytest.raises(NonFiniteInput) as info:
+        matrix_from_csv("\n".join(lines) + "\n")
+    assert "'d1'" in str(info.value) and "'adj_n_edges'" in str(info.value)
+
+
+@pytest.mark.parametrize("key", ["mean", "std"])
+def test_scaler_document_with_non_finite_moments_is_rejected(key):
+    vectors = [_vec("a", [1.0, 0.0]), _vec("b", [3.0, 1.0])]
+    doc = fit_scaler(vectors, _manifest2()).to_dict()
+    doc[key] = [float("nan"), doc[key][1]]
+    with pytest.raises(NonFiniteInput) as info:
+        Scaler.from_dict(doc)
+    assert key in str(info.value)

@@ -7,7 +7,6 @@ from dashmine.geometry import build_interaction_graph
 from dashmine.ingest import filter_corpus, parse_workbook
 from dashmine.model import (
     BlockType,
-    ChartType,
     Dashboard,
     EdgeClass,
     FilterProps,
@@ -33,6 +32,12 @@ MINIMAL_XML = b"""
   </dashboards>
 </workbook>
 """
+
+
+def test_json_block_props_of_the_wrong_shape_is_a_schema_violation():
+    doc = b'{"id": "d", "blocks": [{"id": "c", "type": "chart", "x": 0, "y": 0, "w": 5, "h": 5, "props": []}]}'
+    with pytest.raises(SchemaViolation):
+        parse_workbook(doc, format="json")
 
 
 def test_minimal_xml_workbook():
@@ -226,9 +231,9 @@ def test_infer_chart_type_rule_table():
     # chart blocks get their visualization type from the referenced worksheet
     blocks = parse_workbook(RULE_TABLE_XML, format="xml")[0].blocks
     assert {b.id: b.props.vis_type for b in blocks} == {
-        "z1": ChartType("bar"),
-        "z2": ChartType("map"),
-        "z3": ChartType("polygon"),
+        "z1": "bar",
+        "z2": "map",
+        "z3": "polygon",
     }
 
 

@@ -10,8 +10,11 @@ from dashmine.model import (
     Block,
     BlockType,
     ChartProps,
-    ChartType,
     Dashboard,
+    DashboardGraphs,
+    EdgeClass,
+    GraphNode,
+    InteractionEdge,
     TextProps,
     dashboard_from_dict,
     dashboard_to_dict,
@@ -63,7 +66,7 @@ def test_validate_props_variant_must_match_type():
 
 
 def test_validate_chart_type_consistency():
-    props = ChartProps(vis_type=ChartType("pie"), marks=("bar",), encodings=())
+    props = ChartProps(vis_type="pie", marks=("bar",), encodings=())
     block = Block(id="b", block_type=BlockType.CHART, x=0, y=0, w=5, h=5, props=props)
     violations = validate(Dashboard(id="d", blocks=(block,)))
     assert len(violations) == 1 and "chart type mismatch" in violations[0]
@@ -125,18 +128,51 @@ def test_canonical_adjacency_edge_is_order_independent():
 
 
 def test_graphs_doc_round_trip_preserves_structure(fig_graphs):
-    for graphs in fig_graphs.values():
+    rng = np.random.default_rng(97)
+    cases = list(fig_graphs.values())
+    cases += [build_graphs(random_dashboard(rng, f"d{i}")) for i in range(300)]
+    for graphs in cases:
         doc = graphs_to_dict(graphs)
         back = graphs_from_dict(doc)
-        assert [b.id for b in back.nodes] == [b.id for b in graphs.nodes]
-        assert [b.block_type for b in back.nodes] == [b.block_type for b in graphs.nodes]
+        assert back == graphs, graphs.dashboard_id
         # chart nodes carry their visualization type; other nodes only id and type
-        assert [getattr(b.props, "vis_type", None) for b in back.nodes] == [
-            getattr(b.props, "vis_type", None) for b in graphs.nodes
-        ]
+        assert all(set(n) == {"id", "type", "vis_type"} for n in doc["nodes"] if n["type"] == "chart")
         assert all(set(n) == {"id", "type"} for n in doc["nodes"] if n["type"] != "chart")
-        assert back.adjacency_edges == graphs.adjacency_edges
-        assert back.interaction_edges == graphs.interaction_edges
+
+
+def test_graphs_doc_chart_without_vis_type_reads_unknown():
+    nodes = [{"id": "c", "type": "chart"}, {"id": "t", "type": "text", "vis_type": "bar"}]
+    graphs = graphs_from_dict({"dashboard_id": "d1", "nodes": nodes})
+    assert graphs.nodes == (
+        GraphNode("c", BlockType.CHART, "unknown"),
+        GraphNode("t", BlockType.TEXT, None),
+    )
+
+
+_NODES = (GraphNode("c", BlockType.CHART, "bar"), GraphNode("f", BlockType.FILTER, None))
+
+
+@pytest.mark.parametrize(
+    "kwargs, kind",
+    [
+        ({"nodes": _NODES + (GraphNode("c", BlockType.CHART, "line"),)}, None),
+        ({"adjacency_edges": (AdjacencyEdge("c", "zz", AdjacencyConfig.ADJOINING),)}, "adjacency"),
+        (
+            {"interaction_edges": (InteractionEdge("zz", "c", "filter", EdgeClass.FILTER_TO_CHART),)},
+            "interaction",
+        ),
+    ],
+    ids=["repeated-node-id", "dangling-adjacency-edge", "dangling-interaction-edge"],
+)
+def test_dashboard_graphs_checks_its_invariants(kwargs, kind):
+    with pytest.raises(SchemaViolation) as info:
+        DashboardGraphs(**({"dashboard_id": "d1", "nodes": _NODES} | kwargs))
+    message = str(info.value)
+    assert "'d1'" in message
+    if kind is None:
+        assert "repeated node id 'c'" in message
+    else:
+        assert f"{kind} edge" in message and "'zz'" in message
 
 
 @pytest.mark.parametrize(
@@ -177,17 +213,17 @@ def test_graph_node_sets_identical_everywhere():
 
 
 def test_infer_vis_type_rules():
-    assert infer_vis_type(["bar"], [("column", "Sales"), ("row", "Region")]) == ChartType("bar")
-    assert infer_vis_type(["circle"], [("geo", "State")]) == ChartType("map")
-    assert infer_vis_type(["polygon"], []) == ChartType("polygon")
-    assert infer_vis_type(["polygon"], [("color", "x")]) == ChartType("polygon")
-    assert infer_vis_type(["line"], []) == ChartType("line")
-    assert infer_vis_type(["text"], [("row", "a"), ("column", "b")]) == ChartType("table")
-    assert infer_vis_type(["text"], [("row", "a")]) == ChartType("text")
-    assert infer_vis_type(["circle"], [("row", "a"), ("column", "b")]) == ChartType("scatter")
-    assert infer_vis_type(["circle"], [("color", "a")]) == ChartType("circle")
-    assert infer_vis_type(["pie"], []) == ChartType("pie")
-    assert infer_vis_type(["area"], []) == ChartType("area")
-    assert infer_vis_type([], [("row", "a")]) == ChartType("unknown")
+    assert infer_vis_type(["bar"], [("column", "Sales"), ("row", "Region")]) == "bar"
+    assert infer_vis_type(["circle"], [("geo", "State")]) == "map"
+    assert infer_vis_type(["polygon"], []) == "polygon"
+    assert infer_vis_type(["polygon"], [("color", "x")]) == "polygon"
+    assert infer_vis_type(["line"], []) == "line"
+    assert infer_vis_type(["text"], [("row", "a"), ("column", "b")]) == "table"
+    assert infer_vis_type(["text"], [("row", "a")]) == "text"
+    assert infer_vis_type(["circle"], [("row", "a"), ("column", "b")]) == "scatter"
+    assert infer_vis_type(["circle"], [("color", "a")]) == "circle"
+    assert infer_vis_type(["pie"], []) == "pie"
+    assert infer_vis_type(["area"], []) == "area"
+    assert infer_vis_type([], [("row", "a")]) == "unknown"
     # geo wins over any mark rule
-    assert infer_vis_type(["bar"], [("geo", "x")]) == ChartType("map")
+    assert infer_vis_type(["bar"], [("geo", "x")]) == "map"
