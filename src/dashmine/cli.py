@@ -488,7 +488,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     out = _Outputs()
     try:
         return args.func(args, out)
-    except (DashmineError, OSError, ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (DashmineError, OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         out.remove_all()
         error = {
             "error": type(exc).__name__,

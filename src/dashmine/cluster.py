@@ -5,13 +5,14 @@ The pipeline follows the classic hierarchical density-based scheme:
 1. core distance of each point = distance to its ``min_samples``-th
    nearest neighbor (the point itself counts as the first), computed
    once per unique row over the unique rows weighted by multiplicity;
-   for k = min(min_samples, unique rows) <= 32 each unordered pair of
-   unique rows is measured once, in blocks of 32 rows,
+   for k = min(min_samples, unique rows) <= 32 the rows of each flag
+   pattern (below) measure each other pair once, in blocks of 32 rows,
+   and then the other patterns ring by ring until a bound settles them,
 2. mutual reachability d_mr(a, b) = max(core(a), core(b), d(a, b)),
 3. minimum spanning tree of the complete mutual-reachability graph
    (Prim's algorithm over groups of identical rows: only a group's
    first row to join is measured, against the groups with no row in the
-   tree yet; no spatial index),
+   tree yet whose lower bound could still lighten their edge),
 4. single-linkage hierarchy from the MST edges in ascending weight order,
 5. condensation of the hierarchy at ``min_cluster_size``,
 6. excess-of-mass cluster selection by stability,
@@ -25,14 +26,27 @@ hierarchy per ``min_samples``.
 Distances are exact, O(m^2) in the m unique rows: steps 1 and 3 and
 the silhouette measure each distinct row, not each row, and step 1 each
 unordered pair once when ``min_samples`` is small.  Determinism
-everywhere via ascending-index tie-breaking.  A spatial index would
-speed up steps 1-3 on large corpora but is deliberately left out.  Every
-distance, in clustering and in silhouette, comes from the one kernel
+everywhere via ascending-index tie-breaking.  Every distance, in
+clustering and in silhouette, comes from the one kernel
 :func:`_row_distances` on the same rows, and d(a, b) = d(b, a) bit for
 bit, so skipping distances that are not needed, or taking one from the
 other end of the pair, never changes the bits of those that are used.
-"""
 
+The one distance bound steps 1 and 3 use is exact in floating point.  A
+flag column is one whose every value is exactly 0.0 or 1.0, found from
+the matrix itself; rows share a flag pattern when they agree on every
+flag column.  For two rows whose patterns differ in h flags, h of the
+squared terms the kernel sums are exactly 1.0 and every other term is
+>= 0.  Rounding is monotone, so each partial sum, in any summation
+order, is >= the number of flag terms in it, and so is the computed
+sum; ``sqrt`` is monotone too, so the computed distance is >= fl(sqrt(h)).
+A row whose k-th nearest candidate is at most fl(sqrt(h)) therefore
+keeps its core distance whatever the rows h flags away hold, ties
+included, since only the k-th value is read; and a Prim candidate edge
+whose weight is at most max(core_a, core_b, fl(sqrt(h))) keeps it, since
+only a strictly lighter edge replaces it.  Beyond that bound no spatial
+index is used.
+"""
 from __future__ import annotations
 
 import heapq
@@ -108,30 +122,71 @@ def _row_distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 # Unique rows per block of the symmetric core-distance pass, which runs
 # when k = min(min_samples, unique rows) is at most this; above it the
-# per-row loop measured faster (k = 40 and k = 250).
+# per-row loop measured faster (k = 40 and k = 250).  Also the rows that
+# measure one ring of flag patterns together.
 _CORE_BLOCK = 32
 # Later rows whose candidates one merge step updates together; bounds the
 # merge's scratch arrays.
 _MERGE_ROWS = 128
 
 
-def _core_distances(X: np.ndarray, min_samples: int) -> np.ndarray:
-    """Distance from each row to its ``min_samples``-th nearest row.
+@dataclass(frozen=True)
+class _UniqueRows:
+    """The distinct rows of a matrix and their flag patterns.
 
-    Identical rows share their distances, so each unique row is measured
-    against the unique rows only.  The ``k = min(min_samples, m)``
-    nearest of them hold the answer: ordered by distance, it is the
+    ``values`` holds the distinct rows, ``inverse`` maps each matrix row
+    to its distinct row and ``counts`` gives each distinct row's
+    multiplicity.  A flag column holds only 0.0 and 1.0; ``pattern`` is
+    each distinct row's pattern id over the flag columns, ascending, so
+    each pattern's rows are one contiguous slice, and ``bound[p, q]`` =
+    fl(sqrt(h)) for patterns ``p`` and ``q`` that differ in h flags, a
+    lower bound on the distance between their rows (see the module
+    docstring).
+    """
+
+    values: np.ndarray
+    inverse: np.ndarray
+    counts: np.ndarray
+    pattern: np.ndarray
+    bound: np.ndarray
+
+
+def _unique_rows(X: np.ndarray) -> _UniqueRows:
+    U, inverse, counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)
+    # At most one pattern per _CORE_BLOCK distinct rows: each pattern and
+    # each ring costs kernel calls of its own, so a 0/1 column that would
+    # split the rows finer is left out of the patterns.
+    max_patterns = max(1, U.shape[0] // _CORE_BLOCK)
+    pattern = np.zeros(U.shape[0], dtype=np.intp)
+    flag_cols = []
+    for c in np.flatnonzero(((U == 0.0) | (U == 1.0)).all(axis=0)):
+        ids, split = np.unique(2 * pattern + (U[:, c] == 1.0), return_inverse=True)
+        if ids.shape[0] <= max_patterns:
+            pattern = split
+            flag_cols.append(c)
+    order = np.argsort(pattern, kind="stable")
+    rank = np.empty_like(order)
+    rank[order] = np.arange(order.shape[0])
+    U, counts, pattern = U[order], counts[order], pattern[order]
+    flags = U[np.unique(pattern, return_index=True)[1]][:, flag_cols]
+    hamming = sum((f[:, None] != f for f in flags.T), np.zeros((flags.shape[0],) * 2))
+    return _UniqueRows(U, rank[inverse.reshape(-1)], counts, pattern, np.sqrt(hamming))
+
+
+def _core_distances(rows: _UniqueRows, min_samples: int) -> np.ndarray:
+    """Distance from each distinct row to its ``min_samples``-th nearest row.
+
+    Identical rows share their distances, so each distinct row is
+    measured against the distinct rows only.  The ``k = min(min_samples,
+    m)`` nearest of them hold the answer: ordered by distance, it is the
     first whose cumulative multiplicity reaches ``min_samples``.  Every
     value is a ``_row_distances`` result, so the bits equal a per-row
     loop over all n rows.
     """
-    U, inverse, counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)
-    k = min(min_samples, U.shape[0])
+    k = min(min_samples, rows.values.shape[0])
     if k <= _CORE_BLOCK:
-        core_u = _core_distances_symmetric(U, counts, min_samples, k)
-    else:
-        core_u = _core_distances_per_row(U, counts, min_samples, k)
-    return core_u[inverse.reshape(-1)]
+        return _core_distances_by_ring(rows, min_samples, k)
+    return _core_distances_per_row(rows.values, rows.counts, min_samples, k)
 
 
 def _core_distances_per_row(
@@ -149,55 +204,95 @@ def _core_distances_per_row(
     return core_u
 
 
-def _core_distances_symmetric(
-    U: np.ndarray, counts: np.ndarray, min_samples: int, k: int
-) -> np.ndarray:
-    """Each unordered pair of unique rows measured once, for small k.
+def _core_distances_by_ring(rows: _UniqueRows, min_samples: int, k: int) -> np.ndarray:
+    """Nearest rows of the own flag pattern first, then ring by ring.
 
-    Rows go in blocks of ``_CORE_BLOCK``; each block row is measured
-    against the rows from the block's start onward, and d(i, j) = d(j, i)
-    bit for bit because (a - b)^2 = (b - a)^2.  A later row keeps the k
-    smallest (distance, multiplicity) candidates the blocks before it
-    offered, partitioned so that the k-th smallest is last, and merges a
-    block's column only where the column's minimum beats that k-th
-    candidate.  When its own block comes, those candidates and its own
-    measured row give its core distance: ordered by distance, the first
-    whose cumulative multiplicity reaches ``min_samples``.
+    Each row keeps its k nearest (distance, multiplicity) candidates.
+    They start as the k nearest rows of its own pattern, found by
+    :func:`_nearest_symmetric` over that pattern's rows.  The patterns
+    h flags away form ring h, whose rows are at distance >= fl(sqrt(h));
+    rings are measured in order of h, and only by the rows whose k-th
+    candidate still exceeds the ring's bound, since no farther row can
+    change a k-th value at or below it.  With no flag column there is
+    one pattern and no ring.
     """
+    U, counts = rows.values, rows.counts
+    starts = np.searchsorted(rows.pattern, np.arange(rows.bound.shape[0] + 1))
     m = U.shape[0]
-    core_u = np.empty(m)
     cand_d = np.full((m, k), np.inf)
     cand_w = np.zeros((m, k), dtype=counts.dtype)
     block = np.empty((min(_CORE_BLOCK, m), m))
+    spans = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
+    for lo, hi in spans:
+        _nearest_symmetric(U[lo:hi], counts[lo:hi], cand_d[lo:hi], cand_w[lo:hi], block)
+
+    core = np.empty(m)
+    for bound, (lo, hi) in zip(rows.bound, spans):
+        unsettled = np.arange(lo, hi)
+        for ring_bound in sorted(set(bound.tolist()))[1:]:  # bound 0 is the own pattern
+            unsettled = unsettled[cand_d[unsettled, k - 1] > ring_bound]
+            if not unsettled.shape[0]:
+                break
+            in_ring = np.flatnonzero(bound == ring_bound)
+            ring = np.concatenate([np.arange(*spans[q]) for q in in_ring])
+            V, w = U[ring], counts[ring]
+            for part in range(0, unsettled.shape[0], _CORE_BLOCK):
+                measured = unsettled[part : part + _CORE_BLOCK]
+                d, nearest = _measure_nearest(block, V, U[measured], k)
+                _keep_nearest(cand_d, cand_w, measured, d, w[nearest])
+
+        d, w = cand_d[lo:hi], cand_w[lo:hi]
+        by_distance = np.argsort(d, axis=1, kind="stable")
+        reached = (np.cumsum(np.take_along_axis(w, by_distance, axis=1), axis=1) < min_samples).sum(axis=1)
+        core[lo:hi] = np.take_along_axis(d, by_distance, axis=1)[np.arange(hi - lo), reached]
+    return core
+
+
+def _nearest_symmetric(
+    U: np.ndarray, counts: np.ndarray, cand_d: np.ndarray, cand_w: np.ndarray, block: np.ndarray
+) -> None:
+    """Merge into each row's candidates its nearest rows of ``U``, each
+    unordered pair measured once.
+
+    Rows go in blocks of ``_CORE_BLOCK``; each block row is measured
+    against the rows from the block's start onward, and d(i, j) = d(j, i)
+    bit for bit because (a - b)^2 = (b - a)^2.  A block row merges its
+    own nearest; a later row merges a block's column only where the
+    column's minimum beats its k-th candidate.
+    """
+    m, k = cand_d.shape
     for lo in range(0, m, _CORE_BLOCK):
         hi = min(lo + _CORE_BLOCK, m)
-        tail = U[lo:]
-        near = min(k, m - lo)
-        D = block[: hi - lo, : m - lo]
-        nearest = np.empty((hi - lo, near), dtype=np.intp)
-        for r in range(hi - lo):
-            D[r] = _row_distances(tail, U[lo + r])
-            nearest[r] = np.argpartition(D[r], near - 1)[:near]
-        d = np.concatenate([cand_d[lo:hi], np.take_along_axis(D, nearest, axis=1)], axis=1)
-        w = np.concatenate([cand_w[lo:hi], counts[lo + nearest]], axis=1)
-        order = np.argsort(d, axis=1, kind="stable")
-        reached = (np.cumsum(np.take_along_axis(w, order, axis=1), axis=1) < min_samples).sum(axis=1)
-        core_u[lo:hi] = np.take_along_axis(d, order, axis=1)[np.arange(hi - lo), reached]
+        d, nearest = _measure_nearest(block, U[lo:], U[lo:hi], k)
+        _keep_nearest(cand_d, cand_w, np.arange(lo, hi), d, counts[lo + nearest])
 
-        later = D[:, hi - lo :]
+        later = block[: hi - lo, hi - lo : m - lo]
         beats = hi + np.flatnonzero(later.min(axis=0) < cand_d[hi:, k - 1])
         for part in range(0, beats.shape[0], _MERGE_ROWS):
             rows = beats[part : part + _MERGE_ROWS]
             _keep_nearest(cand_d, cand_w, rows, later[:, rows - hi].T, counts[lo:hi])
-    return core_u
+
+
+def _measure_nearest(
+    block: np.ndarray, V: np.ndarray, rows: np.ndarray, k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Measure each of ``rows`` against ``V`` into the top of ``block``;
+    return each row's ``min(k, len(V))`` nearest distances and their
+    columns."""
+    D = block[: rows.shape[0], : V.shape[0]]
+    near = min(k, V.shape[0])
+    for r, x in enumerate(rows):
+        D[r] = _row_distances(V, x)
+    nearest = np.argpartition(D, near - 1, axis=1)[:, :near]
+    return np.take_along_axis(D, nearest, axis=1), nearest
 
 
 def _keep_nearest(
     cand_d: np.ndarray, cand_w: np.ndarray, rows: np.ndarray, d: np.ndarray, w: np.ndarray
 ) -> None:
     """Merge new distances ``d`` (one row per entry of ``rows``), of
-    multiplicities ``w``, into those rows' candidates, keeping the k
-    smallest with the k-th last."""
+    multiplicities ``w`` (per column, or per entry of ``d``), into those
+    rows' candidates, keeping the k smallest with the k-th last."""
     k = cand_d.shape[1]
     d = np.concatenate([cand_d[rows], d], axis=1)
     w = np.concatenate([cand_w[rows], np.broadcast_to(w, d[:, k:].shape)], axis=1)
@@ -211,51 +306,54 @@ def _keep_nearest(
 _COMPACT_SHARE = 1 / 8
 
 
-def _mutual_reachability_mst(X: np.ndarray, core: np.ndarray) -> np.ndarray:
+def _mutual_reachability_mst(rows: _UniqueRows, core: np.ndarray) -> np.ndarray:
     """Prim's MST over the implicit mutual-reachability graph.
 
-    Returns (n-1, 3) rows (a, b, weight) in the order the vertices b join
-    the tree, which starts at vertex 0.  Ties are broken deterministically:
-    the next vertex is the lowest-index one among those of minimum
-    candidate weight, and its edge runs to the earliest-joined tree vertex
-    that offered that weight, because a candidate edge is only replaced
-    by a strictly lighter one.
+    ``core`` holds one core distance per distinct row.  Returns (n-1, 3)
+    rows (a, b, weight) in the order the vertices b join the tree, which
+    starts at vertex 0.  Ties are broken deterministically: the next
+    vertex is the lowest-index one among those of minimum candidate
+    weight, and its edge runs to the earliest-joined tree vertex that
+    offered that weight, because a candidate edge is only replaced by a
+    strictly lighter one.
 
-    Identical rows must have equal core distances (``ValueError``
-    otherwise), and then they always carry the same candidate edge, so
-    Prim runs over groups of identical rows.  A group is fresh until its
-    first (lowest-index) row joins, at weight w; only then is that row
-    measured, against the fresh groups only.  Its mates' reach drops to
-    their core distance c, taken strictly, so from then on they wait at
-    weight c with the joiner as source if w > c, or keep the joiner's
-    edge if w = c; nothing can beat c, and every later mate's distances
-    equal the first's, so no later mate is measured.  The next vertex is
-    the least (weight, index) among the fresh groups' first rows and the
-    waiting groups' next rows, so the edges equal the full-row Prim's.
+    Identical rows have equal core distances and always carry the same
+    candidate edge, so Prim runs over groups of identical rows.  A group
+    is fresh until its first (lowest-index) row joins, at weight w; only
+    then is that row measured, against the fresh groups only.  Its
+    mates' reach drops to their core distance c, taken strictly, so from
+    then on they wait at weight c with the joiner as source if w > c, or
+    keep the joiner's edge if w = c; nothing can beat c, and every later
+    mate's distances equal the first's, so no later mate is measured.
+    The next vertex is the least (weight, index) among the fresh groups'
+    first rows and the waiting groups' next rows, so the edges equal the
+    full-row Prim's.
+
+    With more than one flag pattern, the joiner x measures only the
+    fresh groups v whose lower bound max(core_v, core_x, fl(sqrt(h)))
+    is below their candidate weight, h being the flags v and x differ
+    in: the reach is at least that bound, so no skipped group could
+    have taken the strictly lighter edge an update needs.
 
     Fresh groups are kept in arrays ordered by first row, so
     ``np.argmin``'s first-minimum rule is the lowest-index rule; a group
-    that joins is marked dead and the arrays are compacted once dead
-    entries exceed ``_COMPACT_SHARE`` of them.  Waiting groups sit in a
-    heap keyed by (weight, next row).
+    that joins is marked dead (infinite core and weight) and the arrays
+    are compacted once dead entries exceed ``_COMPACT_SHARE`` of them.
+    Waiting groups sit in a heap keyed by (weight, next row).
     """
-    n = X.shape[0]
-    inverse, counts = np.unique(X, axis=0, return_inverse=True, return_counts=True)[1:]
-    inverse = inverse.reshape(-1)
-    members = np.argsort(inverse, kind="stable")  # each group's rows, ascending
+    counts = rows.counts
+    n = rows.inverse.shape[0]
+    members = np.argsort(rows.inverse, kind="stable")  # each group's rows, ascending
     end = np.cumsum(counts)
     nxt = end - counts  # position in ``members`` of each group's next row
     first = members[nxt]
-    core_u = core[first]
-    if not np.array_equal(core_u[inverse], core):
-        raise ValueError("core distances differ between identical rows")
+    prune = rows.bound.shape[0] > 1
 
     gid = np.argsort(first)
     first_f = first[gid]
-    rows, core_f = X[first_f], core_u[gid]
+    values, core_f, pattern_f = rows.values[gid], core[gid], rows.pattern[gid]
     best_w = np.full(gid.shape[0], np.inf)
     best_src = np.zeros(gid.shape[0], dtype=np.intp)
-    alive = np.ones(gid.shape[0], dtype=bool)
     n_fresh, dead = gid.shape[0], 0
     waiting: list[tuple[float, int, int, int]] = []  # (weight, next row, group, source)
 
@@ -271,22 +369,33 @@ def _mutual_reachability_mst(X: np.ndarray, core: np.ndarray) -> np.ndarray:
                 edges[k - 1] = (best_src[j], x, w)
             nxt[g] += 1
             if nxt[g] < end[g]:
-                source = x if w > core_u[g] else int(best_src[j])
-                heapq.heappush(waiting, (float(core_u[g]), int(members[nxt[g]]), g, source))
-            alive[j] = False
-            best_w[j] = np.inf
+                source = x if w > core[g] else int(best_src[j])
+                heapq.heappush(waiting, (float(core[g]), int(members[nxt[g]]), g, source))
+            # The slot is dead from now on: its infinite core makes every
+            # reach and lower bound to it infinite, so it is never updated.
+            core_x, core_f[j], best_w[j] = core_f[j], np.inf, np.inf
             n_fresh -= 1
             dead += 1
             if n_fresh:
-                d = _row_distances(rows, rows[j])
-                reach = np.maximum(np.maximum(core_f, core_f[j]), d)
-                closer = alive & (reach < best_w)
-                best_w[closer] = reach[closer]
+                if prune:
+                    bound = rows.bound[pattern_f[j]][pattern_f]
+                    lower = np.maximum(np.maximum(core_f, core_x), bound)
+                    near = np.flatnonzero(lower < best_w)
+                    reach = np.maximum(lower[near], _row_distances(values[near], values[j]))
+                    lighter = reach < best_w[near]
+                    closer = near[lighter]
+                    best_w[closer] = reach[lighter]
+                else:
+                    d = _row_distances(values, values[j])
+                    reach = np.maximum(np.maximum(core_f, core_x), d)
+                    closer = reach < best_w
+                    best_w[closer] = reach[closer]
                 best_src[closer] = x
                 if dead > _COMPACT_SHARE * gid.shape[0]:
-                    gid, rows, core_f, first_f = gid[alive], rows[alive], core_f[alive], first_f[alive]
+                    alive = core_f < np.inf
+                    gid, first_f, values = gid[alive], first_f[alive], values[alive]
+                    core_f, pattern_f = core_f[alive], pattern_f[alive]
                     best_w, best_src = best_w[alive], best_src[alive]
-                    alive = np.ones(gid.shape[0], dtype=bool)
                     dead = 0
                 jf = int(np.argmin(best_w))
         else:
@@ -474,10 +583,10 @@ def _check_rows(n: int, params: ClusterParams) -> None:
         raise TooFewRows(f"{n} rows < min_samples={params.effective_min_samples}")
 
 
-def _hierarchy(X: np.ndarray, min_samples: int) -> np.ndarray:
+def _hierarchy(rows: _UniqueRows, min_samples: int) -> np.ndarray:
     """Steps 1-4: the single-linkage dendrogram of mutual reachability."""
-    core = _core_distances(X, min_samples)
-    return _single_linkage(_mutual_reachability_mst(X, core))
+    core = _core_distances(rows, min_samples)
+    return _single_linkage(_mutual_reachability_mst(rows, core))
 
 
 def _select(Z: np.ndarray, min_cluster_size: int) -> ClusterResult:
@@ -507,7 +616,7 @@ def hdbscan(matrix: Any, params: ClusterParams = ClusterParams()) -> ClusterResu
     """
     X = _as_matrix(matrix)
     _check_rows(X.shape[0], params)
-    return _select(_hierarchy(X, params.effective_min_samples), params.min_cluster_size)
+    return _select(_hierarchy(_unique_rows(X), params.effective_min_samples), params.min_cluster_size)
 
 
 # Rows of one cluster whose distances silhouette computes and reduces
@@ -526,8 +635,11 @@ def silhouette(matrix: Any, labels: Sequence[int]) -> SilhouetteScores:
     so that each cluster is one contiguous column span.  A row's a and b
     depend only on its values and its cluster, so each distinct row of a
     cluster is scored once and its score copied to its duplicates.  A
-    cluster's distinct rows are scored in tiles, with one sum or mean per
-    cluster per tile, each over every row of that cluster's span.
+    cluster's distinct rows are scored in tiles: each tile row is
+    measured against the distinct clustered rows only, and ``np.take``
+    copies those distances out to every clustered row's column, in C
+    order, so each sum or mean per cluster per tile runs over every row
+    of that cluster's span exactly as if every row had been measured.
     """
     X = _as_matrix(matrix)
     labels = np.asarray(labels, dtype=int)
@@ -540,7 +652,8 @@ def silhouette(matrix: Any, labels: Sequence[int]) -> SilhouetteScores:
     members = {c: np.flatnonzero(labels == c) for c in cluster_labels}
     pooled = np.concatenate([members[c] for c in cluster_labels])
     Xp = X[pooled]
-    row_group = np.unique(Xp, axis=0, return_inverse=True)[1].reshape(-1)
+    Up, row_group = np.unique(Xp, axis=0, return_inverse=True)
+    row_group = row_group.reshape(-1)
     bounds = np.cumsum([0] + [members[c].shape[0] for c in cluster_labels]).tolist()
     spans = list(zip(bounds[:-1], bounds[1:]))
     scores = np.zeros(X.shape[0])
@@ -553,7 +666,8 @@ def silhouette(matrix: Any, labels: Sequence[int]) -> SilhouetteScores:
         distinct_scores = np.zeros(distinct.shape[0])
         for start in range(0, distinct.shape[0], _SILHOUETTE_TILE):
             tile = lo + distinct[start : start + _SILHOUETTE_TILE]
-            D = np.stack([_row_distances(Xp, Xp[i]) for i in tile])
+            D_u = np.stack([_row_distances(Up, Xp[i]) for i in tile])
+            D = np.take(D_u, row_group, axis=1)  # C order, so the sums add as before
             a = D[:, lo:hi].sum(axis=1) / (own_size - 1)  # exclude self (distance 0)
             b = np.min([D[:, o_lo:o_hi].mean(axis=1) for o_lo, o_hi in others], axis=0)
             denom = np.maximum(a, b)
@@ -615,6 +729,7 @@ def sweep_min_cluster_size(
     selection run per size.
     """
     X = _as_matrix(matrix)
+    rows = _unique_rows(X)
     hierarchies: dict[int, np.ndarray] = {}
     results = []
     for size in sizes:
@@ -622,7 +737,7 @@ def sweep_min_cluster_size(
         _check_rows(X.shape[0], params)
         ms = params.effective_min_samples
         if ms not in hierarchies:
-            hierarchies[ms] = _hierarchy(X, ms)
+            hierarchies[ms] = _hierarchy(rows, ms)
         outcome = _select(hierarchies[ms], size)
         covered = int((outcome.labels != NOISE).sum())
         results.append(

@@ -208,7 +208,9 @@ def fit_scaler(
     """Fit per-column population mean/std on raw vectors.
 
     Two-pass computation in a fixed order, so the fit is reproducible
-    bit-for-bit regardless of how the corpus was assembled.
+    bit-for-bit regardless of how the corpus was assembled.  Finite
+    values whose mean or spread overflows raise :class:`NonFiniteInput`
+    naming the column.
     """
     manifest = manifest or default_manifest()
     if len(vectors) < 2:
@@ -222,8 +224,13 @@ def fit_scaler(
         if v.scaled:
             raise ValueError(f"vector for {v.dashboard_id} is already scaled")
     matrix = np.array([v.values for v in vectors], dtype=float)
-    mean = matrix.mean(axis=0)
-    std = matrix.std(axis=0)  # population
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = matrix.mean(axis=0)
+        std = matrix.std(axis=0)  # population
+    overflow = ~(np.isfinite(mean) & np.isfinite(std))
+    if overflow.any():
+        column = manifest.names[int(np.argmax(overflow))]
+        raise NonFiniteInput(f"scaler mean or std of column {column!r} overflows")
     flags = np.array(manifest.flags)
     constant = (std == 0.0) & ~flags
     mean = np.where(flags, 0.0, mean)

@@ -9,6 +9,7 @@ import pytest
 from dashmine.cli import main
 from dashmine.features import FeatureVector, default_manifest, matrix_to_csv
 from dashmine.geometry import build_graphs
+from dashmine import cluster, report
 from dashmine.report import summarize_corpus
 
 from conftest import FIXTURES, load_fixture
@@ -303,6 +304,56 @@ def test_fit_scaler_and_scale_reject_non_finite_features(tmp_path, capsys):
         assert (error["error"], error["stage"]) == ("NonFiniteInput", stage)
         assert f"{row[0]!r}" in error["message"] and "'n_blocks'" in error["message"]
         assert not out.exists()
+
+
+def test_fit_scaler_rejects_a_column_whose_spread_overflows(tmp_path, capsys):
+    width = len(default_manifest().names)
+    vectors = [
+        FeatureVector(f"d{i}", (1e308 if i % 2 else -1e308,) + (1.0,) * (width - 1))
+        for i in range(4)
+    ]
+    (tmp_path / "features.csv").write_text(matrix_to_csv(vectors, default_manifest()))
+    out = tmp_path / "out"
+    assert main(["fit-scaler", "--input", str(tmp_path / "features.csv"), "--out", str(out)]) == 2
+    error = _last_error(capsys)
+    assert (error["error"], error["stage"]) == ("NonFiniteInput", "fit-scaler")
+    assert "'n_blocks'" in error["message"]
+    assert not (out / "scaler.json").exists()
+
+
+@pytest.mark.parametrize("exc", [TypeError, AttributeError])
+@pytest.mark.parametrize(
+    "stage, module, target",
+    [("lint", report, "lint_corpus"), ("cluster", cluster, "export_dendrogram")],
+)
+def test_stage_crash_follows_the_error_contract(
+    tmp_path, capsys, monkeypatch, exc, stage, module, target
+):
+    work = tmp_path / "work"
+    run_pipeline(work)
+    out = tmp_path / "out"
+    argv = {
+        "lint": ["lint", "--input", str(work), "--out", str(out)],
+        "cluster": [
+            "cluster",
+            "--input",
+            str(work / "features_scaled.csv"),
+            "--min-cluster-size",
+            "2",
+            "--out",
+            str(out),
+        ],
+    }[stage]
+
+    def crash(*args, **kwargs):
+        raise exc("stage bug")
+
+    monkeypatch.setattr(module, target, crash)
+    assert main(argv) == 2  # for lint, exit 1 would read as findings
+    error = _last_error(capsys)
+    assert (error["error"], error["stage"], error["message"]) == (exc.__name__, stage, "stage bug")
+    # cluster had written labels.csv before the crash; it is removed again
+    assert not out.exists() or not any(out.iterdir())
 
 
 def test_repeated_block_id_fails_graph_and_later_stages(tmp_path, capsys):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+import functools
 import math
 
 import numpy as np
@@ -8,16 +10,20 @@ import pytest
 from dashmine import cluster
 from dashmine.cluster import (
     ClusterParams,
-    _mutual_reachability_mst,
     _core_distances,
+    _mutual_reachability_mst,
+    _row_distances,
+    _unique_rows,
     export_dendrogram,
     hdbscan,
     silhouette,
     sweep_min_cluster_size,
 )
 from dashmine.errors import FewerThanTwoClusters, NonFiniteInput, TooFewRows
+from dashmine.features import apply_scaler, default_manifest, extract_features, fit_scaler
+from dashmine.geometry import build_graphs
 
-from conftest import blob_matrix, canonical_partition
+from conftest import blob_matrix, canonical_partition, random_dashboard
 from oracles import (
     brute_silhouette,
     golden_core_distances,
@@ -144,8 +150,8 @@ def test_mst_matches_brute_force_prim():
         # 2D keeps float summation order identical on both routes
         X = rng.uniform(-50, 50, size=(n, 2))
         min_samples = 5
-        core = _core_distances(X, min_samples)
-        mst = _mutual_reachability_mst(X, core)
+        rows = _unique_rows(X)
+        mst = _mutual_reachability_mst(rows, _core_distances(rows, min_samples))
         weights = mutual_reachability_matrix(X.tolist(), min_samples)
         expected = prim_mst_weights(weights)
         assert sorted(mst[:, 2].tolist()) == expected
@@ -166,6 +172,19 @@ def _duplicate_heavy_matrix(rng, n: int, n_distinct: int, width: int = 19) -> np
     values, so most rows repeat and multiplicities vary."""
     base = np.round(rng.normal(size=(n_distinct, width)), 2)
     return base[rng.integers(0, n_distinct, size=n)]
+
+
+def _core(X: np.ndarray, min_samples: int) -> np.ndarray:
+    """Core distance of each row of ``X``."""
+    rows = _unique_rows(X)
+    return _core_distances(rows, min_samples)[rows.inverse]
+
+
+def _golden_mst_agrees(X: np.ndarray, min_samples: int) -> bool:
+    rows = _unique_rows(X)
+    core = _core_distances(rows, min_samples)
+    mst = _mutual_reachability_mst(rows, core)
+    return np.array_equal(mst, golden_mutual_reachability_mst(X, core[rows.inverse]))
 
 
 def _grouped_ends(X: np.ndarray) -> np.ndarray:
@@ -196,19 +215,9 @@ def test_mst_is_bit_identical_to_golden_prim():
     for X in matrices:
         n = X.shape[0]
         for min_samples in {1, min(3, n), min(10, n)}:
-            core = _core_distances(X, min_samples)
-            zero_cores += int(min_samples > 1 and (core == 0).any())
-            mst = _mutual_reachability_mst(X, core)
-            expected = golden_mutual_reachability_mst(X, core)
-            assert np.array_equal(mst, expected), (n, min_samples)
+            zero_cores += int(min_samples > 1 and (_core(X, min_samples) == 0).any())
+            assert _golden_mst_agrees(X, min_samples), (n, min_samples)
     assert zero_cores > 0  # some group holds at least min_samples > 1 rows
-
-
-def test_mst_rejects_core_that_differs_between_identical_rows():
-    X = np.array([[0.0, 1.0], [2.0, 2.0], [0.0, 1.0]])
-    _mutual_reachability_mst(X, np.array([1.5, 2.0, 1.5]))
-    with pytest.raises(ValueError, match="identical rows"):
-        _mutual_reachability_mst(X, np.array([1.5, 2.0, 1.0]))
 
 
 def test_core_distances_are_bit_identical_to_golden_per_row_loop():
@@ -220,7 +229,7 @@ def test_core_distances_are_bit_identical_to_golden_per_row_loop():
     for X in matrices:
         n = X.shape[0]
         for min_samples in range(1, n + 1):
-            got = _core_distances(X, min_samples)
+            got = _core(X, min_samples)
             assert np.array_equal(got, golden_core_distances(X, min_samples)), (n, min_samples)
 
     # Larger matrices on both sides of the symmetric pass's k <= 32 rule,
@@ -234,11 +243,79 @@ def test_core_distances_are_bit_identical_to_golden_per_row_loop():
     ]
     for X in larger:
         for min_samples in (1, 2, 10, 31, 32, 33, 40):
-            got = _core_distances(X, min_samples)
+            got = _core(X, min_samples)
             assert np.array_equal(got, golden_core_distances(X, min_samples)), (
                 X.shape[0],
                 min_samples,
             )
+
+
+def _pipeline_matrix(seed: int, n: int) -> np.ndarray:
+    """Scaled feature rows of ``n`` random dashboards, as the pipeline
+    computes them: nine 0/1 flag columns among 19."""
+    rng = np.random.default_rng(seed)
+    manifest = default_manifest()
+    vectors = [
+        extract_features(build_graphs(random_dashboard(rng, f"d{i}")), manifest) for i in range(n)
+    ]
+    scaler = fit_scaler(vectors, manifest)
+    return np.array([apply_scaler(scaler, v).values for v in vectors])
+
+
+@functools.cache
+def _flag_matrices() -> dict[str, np.ndarray]:
+    """Matrices for the flag-pattern bounds: each kind of 0/1 column
+    the clusterer may meet, and none."""
+    rng = np.random.default_rng(43)
+    continuous = _duplicate_heavy_matrix(rng, 300, 220, width=6)
+    flags = rng.integers(0, 2, size=(300, 3)).astype(float)
+    return {
+        "pipeline": _pipeline_matrix(41, 300),
+        # Every distance is exactly some fl(sqrt(h)), so candidates tie the bounds.
+        "all_flags": rng.integers(0, 2, size=(300, 8)).astype(float),
+        # More flag patterns than one per 32 distinct rows: some flag
+        # columns go unused.
+        "many_flags": np.column_stack([continuous, rng.integers(0, 2, size=(300, 10))]),
+        # A count column that happens to hold only 0 and 1.
+        "one_zero_one_count": np.column_stack([continuous, rng.integers(0, 2, size=300)]),
+        "constant_zero": np.column_stack([continuous, np.zeros(300), flags]),
+        "one_pattern": np.column_stack([continuous, np.ones((300, 2))]),
+        "no_flags": continuous,
+    }
+
+
+FLAG_MIN_SAMPLES = (1, 2, 10, 32, 33)
+
+
+def test_flag_pattern_bounds_keep_core_and_mst_bit_identical():
+    for name, X in _flag_matrices().items():
+        for min_samples in FLAG_MIN_SAMPLES:
+            got = _core(X, min_samples)
+            assert np.array_equal(got, golden_core_distances(X, min_samples)), (name, min_samples)
+            assert _golden_mst_agrees(X, min_samples), (name, min_samples)
+
+
+def test_flag_pattern_bounds_keep_silhouette_bit_identical():
+    for name, X in _flag_matrices().items():
+        for min_samples in FLAG_MIN_SAMPLES:
+            result = hdbscan(X, ClusterParams(min_cluster_size=10, min_samples=min_samples))
+            if result.n_clusters >= 2:
+                _assert_silhouette_is_golden(X, result.labels)
+        labels = np.random.default_rng(len(name)).integers(-1, 4, size=X.shape[0])
+        _assert_silhouette_is_golden(X, labels)
+
+
+def test_flag_patterns_come_from_the_matrix():
+    matrices = _flag_matrices()
+    patterns = {name: _unique_rows(X).bound.shape[0] for name, X in matrices.items()}
+    assert patterns["one_zero_one_count"] == 2  # not a manifest flag, still a bound
+    without_zero = np.delete(matrices["constant_zero"], 6, axis=1)
+    assert patterns["constant_zero"] == _unique_rows(without_zero).bound.shape[0] > 1
+    assert patterns["one_pattern"] == patterns["no_flags"] == 1
+    assert 1 < patterns["many_flags"] <= 300 // cluster._CORE_BLOCK
+    bound = _unique_rows(matrices["all_flags"]).bound
+    assert np.array_equal(bound, bound.T) and (np.diag(bound) == 0).all()
+    assert set(np.unique(bound)) <= {math.sqrt(h) for h in range(9)}
 
 
 def test_sweep_rows_equal_hdbscan_run_alone():
@@ -475,49 +552,108 @@ def test_sweep_reports_counts_and_coverage():
 # --- distance work -------------------------------------------------------------
 
 
-def test_each_distinct_row_pair_is_measured_once(monkeypatch):
-    lengths: list[int] = []
+def _counted_kernel(monkeypatch) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Record the (rows, row) arguments of every ``_row_distances`` call."""
+    calls: list[tuple[np.ndarray, np.ndarray]] = []
     kernel = cluster._row_distances
 
     def counted(X, x):
-        lengths.append(X.shape[0])
+        calls.append((X, x))
         return kernel(X, x)
 
     monkeypatch.setattr(cluster, "_row_distances", counted)
+    return calls
+
+
+def test_each_distinct_row_pair_is_measured_once(monkeypatch):
+    calls = _counted_kernel(monkeypatch)
+
+    def lengths() -> list[int]:
+        return [X.shape[0] for X, _ in calls]
+
     rng = np.random.default_rng(37)
     X = _duplicate_heavy_matrix(rng, 400, 150)
-    m = np.unique(X, axis=0).shape[0]
+    rows = _unique_rows(X)
+    m = rows.values.shape[0]
+    assert rows.bound.shape == (1, 1)  # no 0/1 column: one flag pattern
 
     # k <= 32: each unordered pair of unique rows once, plus the pairs
     # inside each block, which both of their rows measure.
     block = cluster._CORE_BLOCK
     overlap = sum(b * (b - 1) // 2 for b in (min(block, m - lo) for lo in range(0, m, block)))
-    core = _core_distances(X, 10)
-    assert len(lengths) == m
-    assert sum(lengths) == m * (m + 1) // 2 + overlap
+    core = _core_distances(rows, 10)
+    assert len(calls) == m
+    assert sum(lengths()) == m * (m + 1) // 2 + overlap
 
     # k > 32: the per-row loop, every unique row against all of them.
-    lengths.clear()
-    _core_distances(X, 40)
-    assert lengths == [m] * m
+    calls.clear()
+    _core_distances(rows, 40)
+    assert lengths() == [m] * m
 
     # Prim: only each group's first row is measured, against groups, not
     # rows; the last group to join has no fresh group left to measure.
-    lengths.clear()
-    _mutual_reachability_mst(X, core)
-    assert len(lengths) == m - 1
-    assert max(lengths) == m < X.shape[0]
+    calls.clear()
+    _mutual_reachability_mst(rows, core)
+    assert len(calls) == m - 1
+    assert max(lengths()) == m < X.shape[0]
 
     # Silhouette: each distinct row of each non-singleton cluster once,
-    # against every clustered row.
+    # against the distinct clustered rows.
     labels = rng.integers(-1, 5, size=X.shape[0])
     labels[:2] = [5, 6]  # two singleton clusters, scored 0 unmeasured
-    lengths.clear()
+    calls.clear()
     silhouette(X, labels)
     clustered = labels != -1
     sizes = np.bincount(labels[clustered])
     distinct = {
         (int(c), X[i].tobytes()) for i, c in enumerate(labels) if c != -1 and sizes[c] > 1
     }
-    assert len(lengths) == len(distinct)
-    assert set(lengths) == {int(clustered.sum())}
+    assert len(calls) == len(distinct)
+    assert set(lengths()) == {np.unique(X[clustered], axis=0).shape[0]}
+
+
+def test_flag_pattern_bounds_skip_settled_rings(monkeypatch):
+    calls = _counted_kernel(monkeypatch)
+    rng = np.random.default_rng(47)
+    continuous = np.round(rng.normal(scale=0.3, size=(600, 8)), 2)
+    flags = (rng.random((600, 3)) < [0.5, 0.3, 0.1]).astype(float)
+    X = np.column_stack([continuous, flags])
+    rows = _unique_rows(X)
+    m, k = rows.values.shape[0], 10
+    one_pattern = dataclasses.replace(
+        rows, pattern=np.zeros(m, dtype=np.intp), bound=np.zeros((1, 1))
+    )
+    assert rows.bound.shape == (8, 8)
+
+    measured = {}
+    for name, view in (("flags", rows), ("hidden", one_pattern)):
+        calls.clear()
+        core = _core_distances(view, k)
+        core_calls = list(calls)
+        calls.clear()
+        _mutual_reachability_mst(view, core)
+        measured[name] = (sum(V.shape[0] for V, _ in core_calls), sum(V.shape[0] for V, _ in calls))
+        if name == "flags":
+            flag_core_calls = core_calls
+    # With the flags hidden the passes are the unpruned ones.
+    assert measured["flags"][0] < measured["hidden"][0]
+    assert measured["flags"][1] < measured["hidden"][1]
+
+    # A row measures the patterns h flags away only while the k-th
+    # nearest of the rows fewer than h flags away is beyond fl(sqrt(h)).
+    flag_of = {row.tobytes(): f for row, f in zip(rows.values, rows.values[:, -3:])}
+    rings = 0
+    for V, x in flag_core_calls:
+        h = {int(np.sum(f != x[-3:])) for f in V[:, -3:]}
+        if h == {0}:
+            continue  # the own pattern's symmetric pass
+        (h,) = h
+        rings += 1
+        hamming = np.array([np.sum(f != x[-3:]) for f in flag_of.values()])
+        assert {v.tobytes() for v in V} == {
+            key for key, d in zip(flag_of, hamming) if d == h
+        }  # the whole ring
+        closer = rows.values[hamming < h]
+        nearest = np.sort(_row_distances(closer, x))
+        assert closer.shape[0] < k or nearest[k - 1] > math.sqrt(h)
+    assert rings > 0

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -175,6 +177,18 @@ def test_scaling_round_trip():
 def test_fit_scaler_needs_two_vectors():
     with pytest.raises(EmptyCorpus):
         fit_scaler([_vec("a", [1, 2])], _manifest2())
+
+
+@pytest.mark.parametrize(
+    "column", [[1e308, -1e308] * 2, [1e308] * 4], ids=["std-overflows", "mean-overflows"]
+)
+def test_fit_scaler_rejects_moments_that_overflow(column):
+    vectors = [_vec(f"d{i}", [x, i]) for i, x in enumerate(column)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the check reports it, not a numpy warning
+        with pytest.raises(NonFiniteInput) as info:
+            fit_scaler(vectors, _manifest2())
+    assert "'n_blocks'" in str(info.value)
 
 
 def test_manifest_mismatch_detected():
