@@ -15,15 +15,13 @@ walkthrough loads the three showcase dashboards and prints both graphs.
 import json
 from pathlib import Path
 
-from dashmine import build_graphs, dashboard_from_dict, validate
+from dashmine import build_graphs, dashboard_from_dict
+from dashmine.errors import SchemaViolation
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
 for name in ("fig_a", "fig_b", "fig_c"):
     dashboard = dashboard_from_dict(json.loads((FIXTURES / f"{name}.json").read_text()))
-
-    # a well-formed dashboard has no invariant violations
-    assert validate(dashboard) == []
 
     print(f"=== {dashboard.id} ===")
     print(f"blocks ({len(dashboard.blocks)}):")
@@ -52,3 +50,12 @@ fig_a = dashboard_from_dict(json.loads((FIXTURES / "fig_a.json").read_text()))
 print("fig_a saturates its interaction bound:",
       len(build_graphs(fig_a).interaction_edges), "==",
       max_possible_interactions(fig_a.blocks))
+
+# A Dashboard checks itself when it is built, so a document that breaks
+# one of the rules (here, two blocks sharing an id) never becomes one.
+doc = json.loads((FIXTURES / "fig_b.json").read_text())
+doc["blocks"].append(dict(doc["blocks"][0]))
+try:
+    dashboard_from_dict(doc)
+except SchemaViolation as exc:
+    print("rejected:", exc)

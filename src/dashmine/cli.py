@@ -39,7 +39,7 @@ from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from . import analysis, cluster, features, geometry, ingest, model, report
-from .errors import DashmineError, SchemaViolation
+from .errors import DashmineError, MalformedDocument, SchemaViolation
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -165,14 +165,14 @@ def _cmd_parse(args, out: _Outputs) -> int:
         fmt = args.format
         if fmt == "auto":
             fmt = "json" if path.suffix == ".json" else "xml"
-        parsed = ingest.parse_workbook(path.read_bytes(), format=fmt, strict=not args.lenient)
-        for dashboard in parsed:
-            violations = model.validate(dashboard)
-            if violations:
-                raise SchemaViolation(
-                    "; ".join(violations), path=f"{path.name}:{dashboard.id}"
-                )
-        dashboards.extend(parsed)
+        try:
+            dashboards.extend(ingest.parse_workbook(path.read_bytes(), format=fmt, strict=not args.lenient))
+        except (MalformedDocument, SchemaViolation) as exc:
+            # keeps the type, line and column; a schema path gains the file name too
+            exc.args = (f"{path.name}: {exc}",)
+            if isinstance(exc, SchemaViolation):
+                exc.path = f"{path.name}: {exc.path}" if exc.path else path.name
+            raise
     _check_ids([d.id for d in dashboards])
     dashboards = ingest.filter_corpus(dashboards, min_charts=args.min_charts)
 
@@ -281,7 +281,7 @@ def _parse_sweep(spec: str) -> list[int]:
 
 
 def _cmd_cluster(args, out: _Outputs) -> int:
-    manifest, vectors = features.matrix_from_csv(Path(args.input).read_text(), scaled=True)
+    manifest, vectors = features.matrix_from_csv(Path(args.input).read_text())
     ids = [v.dashboard_id for v in vectors]
     matrix = [list(v.values) for v in vectors]
 

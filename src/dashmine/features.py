@@ -147,7 +147,6 @@ def default_manifest() -> FeatureManifest:
 class FeatureVector:
     dashboard_id: str
     values: tuple[float, ...]
-    scaled: bool = False
 
 
 def extract_features(
@@ -159,7 +158,6 @@ def extract_features(
     return FeatureVector(
         dashboard_id=graphs.dashboard_id,
         values=tuple(table[name] for name in manifest.names),
-        scaled=False,
     )
 
 
@@ -169,12 +167,28 @@ class Scaler:
 
     Flag columns pass through; constant count columns are flagged and
     scaled with a substitute std of 1, mapping them to all-zeros.
+
+    Construction checks one ``mean``, ``std`` and ``constant`` value per
+    manifest column (:class:`ManifestMismatch`), then that each mean and
+    std is finite (:class:`NonFiniteInput`) and each std positive
+    (``ValueError``), naming the column; so every scaler can be applied.
     """
 
     manifest: FeatureManifest
     mean: tuple[float, ...]
     std: tuple[float, ...]
     constant: tuple[bool, ...]
+
+    def __post_init__(self):
+        for key in ("mean", "std", "constant"):
+            if len(getattr(self, key)) != len(self.manifest.names):
+                raise ManifestMismatch(f"scaler {key} does not hold one value per manifest column")
+        for name, mu, sigma in zip(self.manifest.names, self.mean, self.std):
+            for key, value in (("mean", mu), ("std", sigma)):
+                if not math.isfinite(value):
+                    raise NonFiniteInput(f"scaler {key} of column {name!r} is not a finite number")
+            if sigma <= 0:
+                raise ValueError(f"scaler std of column {name!r} is {sigma!r}, not positive")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -188,15 +202,11 @@ class Scaler:
 
     @classmethod
     def from_dict(cls, obj: Mapping[str, Any]) -> "Scaler":
-        """Read a scaler document; a non-finite mean or std raises :class:`NonFiniteInput`."""
         manifest = FeatureManifest(
             names=tuple(obj["manifest"]), version=str(obj.get("manifest_version", "1"))
         )
         mean = tuple(float(x) for x in obj["mean"])
         std = tuple(float(x) for x in obj["std"])
-        for key, values in (("mean", mean), ("std", std)):
-            if not all(map(math.isfinite, values)):
-                raise NonFiniteInput(f"scaler {key} contains NaN or infinite values")
         return cls(
             manifest=manifest, mean=mean, std=std, constant=tuple(bool(x) for x in obj["constant"])
         )
@@ -208,9 +218,10 @@ def fit_scaler(
     """Fit per-column population mean/std on raw vectors.
 
     Two-pass computation in a fixed order, so the fit is reproducible
-    bit-for-bit regardless of how the corpus was assembled.  Finite
-    values whose mean or spread overflows raise :class:`NonFiniteInput`
-    naming the column.
+    bit-for-bit regardless of how the corpus was assembled.  Flag
+    columns are stored as mean 0 and std 1.  A count column whose mean
+    or spread overflows fails :class:`Scaler`'s own check, as
+    :class:`NonFiniteInput` naming the column.
     """
     manifest = manifest or default_manifest()
     if len(vectors) < 2:
@@ -221,16 +232,10 @@ def fit_scaler(
             raise ManifestMismatch(
                 f"vector for {v.dashboard_id} has {len(v.values)} values, manifest has {width}"
             )
-        if v.scaled:
-            raise ValueError(f"vector for {v.dashboard_id} is already scaled")
     matrix = np.array([v.values for v in vectors], dtype=float)
     with np.errstate(over="ignore", invalid="ignore"):
         mean = matrix.mean(axis=0)
         std = matrix.std(axis=0)  # population
-    overflow = ~(np.isfinite(mean) & np.isfinite(std))
-    if overflow.any():
-        column = manifest.names[int(np.argmax(overflow))]
-        raise NonFiniteInput(f"scaler mean or std of column {column!r} overflows")
     flags = np.array(manifest.flags)
     constant = (std == 0.0) & ~flags
     mean = np.where(flags, 0.0, mean)
@@ -254,7 +259,7 @@ def apply_scaler(scaler: Scaler, vector: FeatureVector) -> FeatureVector:
         x if flag else (x - mu) / sigma
         for x, mu, sigma, flag in zip(vector.values, scaler.mean, scaler.std, flags)
     )
-    return FeatureVector(dashboard_id=vector.dashboard_id, values=values, scaled=True)
+    return FeatureVector(dashboard_id=vector.dashboard_id, values=values)
 
 
 def invert_scaler(scaler: Scaler, vector: FeatureVector) -> FeatureVector:
@@ -264,7 +269,7 @@ def invert_scaler(scaler: Scaler, vector: FeatureVector) -> FeatureVector:
         y if flag else y * sigma + mu
         for y, mu, sigma, flag in zip(vector.values, scaler.mean, scaler.std, flags)
     )
-    return FeatureVector(dashboard_id=vector.dashboard_id, values=values, scaled=False)
+    return FeatureVector(dashboard_id=vector.dashboard_id, values=values)
 
 
 # --- CSV interchange --------------------------------------------------------
@@ -290,14 +295,14 @@ def matrix_to_csv(
     return buf.getvalue()
 
 
-def matrix_from_csv(
-    text: str, scaled: bool = False
-) -> tuple[FeatureManifest, list[FeatureVector]]:
+def matrix_from_csv(text: str) -> tuple[FeatureManifest, list[FeatureVector]]:
     """Parse a feature matrix CSV (leading ``#`` comment lines allowed).
 
     Only the lines before the header are comments; a later row whose
-    dashboard id starts with ``#`` is data.  A NaN or infinite value
-    raises :class:`NonFiniteInput` naming its row and column.
+    dashboard id starts with ``#`` is data.  A row with more or fewer
+    cells than the header raises :class:`ManifestMismatch` naming the
+    row; a cell that is not a number raises ``ValueError`` and a NaN or
+    infinite value :class:`NonFiniteInput`, each naming row and column.
     """
     reader = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), text.splitlines()))
     try:
@@ -311,11 +316,24 @@ def matrix_from_csv(
     for row in reader:
         if not row:
             continue
-        values = tuple(float(x) for x in row[1:])
+        if len(row) != len(header):
+            raise ManifestMismatch(
+                f"feature CSV row {row[0]!r} has {len(row) - 1} values, header has {len(header) - 1}"
+            )
+        try:
+            values = tuple(map(float, row[1:]))
+        except ValueError:
+            for column, cell in zip(header[1:], row[1:]):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise ValueError(
+                        f"feature CSV row {row[0]!r}, column {column!r} is not a number: {cell!r}"
+                    ) from None
         if not all(map(math.isfinite, values)):
             column = next(name for name, x in zip(header[1:], values) if not math.isfinite(x))
             raise NonFiniteInput(
                 f"feature CSV row {row[0]!r}, column {column!r} is not a finite number"
             )
-        vectors.append(FeatureVector(dashboard_id=row[0], values=values, scaled=scaled))
+        vectors.append(FeatureVector(dashboard_id=row[0], values=values))
     return manifest, vectors

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import MutableMapping, Sequence
 
-from .errors import SchemaViolation
 from .model import (
     AdjacencyConfig,
     AdjacencyEdge,
@@ -95,25 +94,19 @@ def build_interaction_graph(
 ) -> list[InteractionEdge]:
     """Turn declared actions into a simple directed interaction graph.
 
-    Each action in declaration order: an endpoint id that is not a block
-    raises :class:`SchemaViolation`; the edge class is derived from the
-    endpoint block types, and actions whose endpoints form none of the
-    three supported classes are dropped (counted under
-    ``counters["dropped"]`` when a mapping is given); self-loops are
-    removed; duplicates collapse on (source, target, edge class), keeping
-    the declared interaction type of the first occurrence.  Output is
-    sorted by (source, target, edge class).
+    Every action endpoint is a block, since a :class:`Dashboard` checks
+    that at construction.  Each action in declaration order: the edge
+    class is derived from the endpoint block types, and actions whose
+    endpoints form none of the three supported classes are dropped
+    (counted under ``counters["dropped"]`` when a mapping is given);
+    self-loops are removed; duplicates collapse on (source, target, edge
+    class), keeping the declared interaction type of the first
+    occurrence.  Output is sorted by (source, target, edge class).
     """
     by_id = dashboard.blocks_by_id()
     seen: set[tuple[str, str, str]] = set()
     edges = []
     for action in dashboard.declared_interactions:
-        for endpoint in (action.source, action.target):
-            if endpoint not in by_id:
-                raise SchemaViolation(
-                    f"action references unknown block: {endpoint}",
-                    f"dashboard[{dashboard.id}]",
-                )
         edge_class = classify_interaction(
             by_id[action.source].block_type, by_id[action.target].block_type
         )
@@ -149,8 +142,8 @@ def build_graphs(dashboard: Dashboard, tol: Tolerance = Tolerance()) -> Dashboar
 
     Each block becomes a :class:`GraphNode` (id, type and, for a chart,
     its ``vis_type``); geometry and other props stay on the dashboard.
-    Both graphs are keyed by block id, so a repeated id raises
-    :class:`SchemaViolation`.
+    The dashboard's block ids are unique by construction, so every graph
+    built here meets the :class:`DashboardGraphs` invariants.
     """
     return DashboardGraphs(
         dashboard_id=dashboard.id,

@@ -10,7 +10,12 @@ bundled in :class:`DashboardGraphs`, whose nodes are :class:`GraphNode`
 records: a block's id, type and, for a chart, its visualization type,
 which is all a graph document keeps.
 
-All types are immutable value objects after construction.
+All types are immutable value objects, and the two records that cross
+stage boundaries are valid by construction: a :class:`Dashboard` checks
+the rules of :func:`validate`, and a :class:`DashboardGraphs` checks its
+nodes and edges, each raising :class:`SchemaViolation` naming the
+dashboard.  So a dashboard or graph pair that exists is well-formed,
+whether it came from a document, a graph file or library code.
 """
 
 from __future__ import annotations
@@ -104,8 +109,8 @@ class Block:
     """One visual element of a dashboard.
 
     Coordinates are integer pixels in a top-left-origin system; ``w`` and
-    ``h`` must be positive (zero-area blocks are rejected by
-    :func:`validate`, not clamped).
+    ``h`` must be positive (a dashboard holding a zero-area block fails
+    :func:`validate`'s rules; sizes are never clamped).
     """
 
     id: str
@@ -164,11 +169,17 @@ class ActionRecord:
 
 @dataclass(frozen=True)
 class Dashboard:
+    """Blocks and raw action records; construction enforces :func:`validate`."""
+
     id: str
     blocks: tuple[Block, ...] = ()
     declared_interactions: tuple[ActionRecord, ...] = ()
     width: int | None = None
     height: int | None = None
+
+    def __post_init__(self):
+        if violations := validate(self):
+            raise SchemaViolation("; ".join(violations), path=f"dashboard {self.id!r}")
 
     def blocks_by_id(self) -> dict[str, Block]:
         return {b.id: b for b in self.blocks}
@@ -188,8 +199,12 @@ class DashboardGraphs:
     """The paired adjacency and interaction graphs of one dashboard.
 
     Both graphs share the identical node set (``nodes``); only the edge
-    lists differ.  A repeated node id, or an edge whose endpoint is not
-    a node, raises :class:`SchemaViolation`.
+    lists differ.  Construction raises :class:`SchemaViolation` naming the
+    dashboard for a repeated node id, and naming the edge for an edge
+    whose endpoint is not a node, a self-loop, a repeated (source,
+    target) pair within either list, an adjacency edge not stored as
+    ``source < target``, or an interaction edge whose ``edge_class`` is
+    not :func:`classify_interaction` of its endpoints' types.
     """
 
     dashboard_id: str
@@ -199,17 +214,34 @@ class DashboardGraphs:
 
     def __post_init__(self):
         where = f"dashboard {self.dashboard_id!r}"
-        node_ids: set[str] = set()
+        types: dict[str, BlockType] = {}
         for node in self.nodes:
-            if node.id in node_ids:
+            if node.id in types:
                 raise SchemaViolation(f"{where}: repeated node id {node.id!r}")
-            node_ids.add(node.id)
+            types[node.id] = node.block_type
         for kind, edges in (("adjacency", self.adjacency_edges), ("interaction", self.interaction_edges)):
+            pairs: set[tuple[str, str]] = set()
             for e in edges:
-                if e.source not in node_ids or e.target not in node_ids:
-                    raise SchemaViolation(
-                        f"{where}: {kind} edge {e.source!r} -> {e.target!r} has an endpoint that is not a node"
+                pair = (e.source, e.target)
+                if e.source not in types or e.target not in types:
+                    fault = "has an endpoint that is not a node"
+                elif e.source == e.target:
+                    fault = "is a self-loop"
+                elif pair in pairs:
+                    fault = "is repeated"
+                elif kind == "adjacency" and e.source > e.target:
+                    fault = "is not stored with source < target"
+                elif kind == "interaction" and e.edge_class is not classify_interaction(
+                    types[e.source], types[e.target]
+                ):
+                    fault = (
+                        f"has class {e.edge_class.value!r}, but joins a "
+                        f"{types[e.source].value} to a {types[e.target].value}"
                     )
+                else:
+                    pairs.add(pair)
+                    continue
+                raise SchemaViolation(f"{where}: {kind} edge {e.source!r} -> {e.target!r} {fault}")
 
     def nodes_by_id(self) -> dict[str, GraphNode]:
         return {n.id: n for n in self.nodes}
@@ -270,37 +302,40 @@ def classify_interaction(source_type: BlockType, target_type: BlockType) -> Edge
 
 
 def validate(dashboard: Dashboard) -> list[str]:
-    """Check every type invariant; violations are data, not failures.
+    """The rules every :class:`Dashboard` enforces at construction.
 
-    Returns an empty list iff the dashboard is well-formed.  Each entry
-    names the offending block or interaction.
+    Returns one finding per broken rule, each naming the offending block
+    or interaction endpoint: a repeated block id, a block whose ``w`` or
+    ``h`` is not positive, props of the wrong variant for the block type,
+    a chart whose ``vis_type`` is not what :func:`infer_vis_type` derives
+    from its marks and encodings, and an action endpoint that is not a
+    block.  An empty list means the dashboard is well-formed.
     """
     violations: list[str] = []
     seen: set[str] = set()
     for block in dashboard.blocks:
         if block.id in seen:
-            violations.append(f"duplicate block id: {block.id}")
+            violations.append(f"duplicate block id: {block.id!r}")
         seen.add(block.id)
         if block.w <= 0 or block.h <= 0:
-            violations.append(f"zero-area block: {block.id} (w={block.w}, h={block.h})")
+            violations.append(f"zero-area block: {block.id!r} (w={block.w}, h={block.h})")
         expected = _PROPS_FOR_TYPE[block.block_type]
         if not isinstance(block.props, expected):
             violations.append(
-                f"props mismatch for block {block.id}: "
+                f"props mismatch for block {block.id!r}: "
                 f"{type(block.props).__name__} on a {block.block_type.value} block"
             )
         elif isinstance(block.props, ChartProps):
             inferred = infer_vis_type(block.props.marks, block.props.encodings)
             if block.props.vis_type != inferred:
                 violations.append(
-                    f"chart type mismatch for block {block.id}: "
+                    f"chart type mismatch for block {block.id!r}: "
                     f"declared {block.props.vis_type!r}, marks/encodings imply {inferred!r}"
                 )
-    ids = {b.id for b in dashboard.blocks}
     for action in dashboard.declared_interactions:
         for endpoint in (action.source, action.target):
-            if endpoint not in ids:
-                violations.append(f"unknown interaction endpoint: {endpoint}")
+            if endpoint not in seen:
+                violations.append(f"unknown interaction endpoint: {endpoint!r}")
     return violations
 
 

@@ -241,6 +241,109 @@ def _last_error(capsys) -> dict:
     return json.loads(capsys.readouterr().err.strip().splitlines()[-1])
 
 
+def _only_error(capsys) -> dict:
+    """The stage's one stderr line, a JSON error (so no traceback either)."""
+    lines = capsys.readouterr().err.strip().splitlines()
+    assert len(lines) == 1, lines
+    return json.loads(lines[0])
+
+
+def test_graph_rejects_a_dashboard_that_parse_rejects(tmp_path, capsys):
+    # a zero-width chart declared pie over bar marks: two of validate's rules
+    chart = {"id": "c1", "type": "chart", "x": 0, "y": 0, "w": 0, "h": 10,
+             "props": {"vis_type": "pie", "marks": ["bar"]}}
+    doc = {"id": "d1", "blocks": [chart]}
+    (tmp_path / "dashboards.ndjson").write_text(json.dumps(doc) + "\n")
+    (tmp_path / "d1.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["graph", "--input", str(tmp_path), "--out", str(out)]) == 2
+    error = _only_error(capsys)
+    assert (error["error"], error["stage"]) == ("SchemaViolation", "graph")
+    assert error["message"].startswith("dashboards.ndjson:1: dashboard 'd1': ")
+    assert not list(out.glob("*.graph.json"))
+    # parse reports the same findings, after the document's file name
+    assert main(["parse", "--input", str(tmp_path / "d1.json"), "--min-charts", "0", "--out", str(out)]) == 2
+    parse_error = _only_error(capsys)
+    assert parse_error["message"].startswith("d1.json: dashboard 'd1': ")
+    assert parse_error["message"].partition(": ")[2] == error["message"].partition(": ")[2]
+    assert not (out / "dashboards.ndjson").exists()
+
+
+@pytest.mark.parametrize(
+    "doc, fault",
+    [
+        (
+            {
+                "dashboard_id": "d1",
+                "nodes": [{"id": "c1", "type": "chart", "vis_type": "bar"}, {"id": "t1", "type": "text"}],
+                "adjacency": [
+                    {"source": "t1", "target": "c1", "config": "adjoining"},
+                    {"source": "c1", "target": "c1", "config": "containment"},
+                ],
+                "interaction": [{"source": "c1", "target": "t1", "class": "filter_chart", "itype": "filter"}],
+            },
+            "adjacency edge 't1' -> 'c1' is not stored with source < target",
+        ),
+        (
+            {
+                "dashboard_id": "d1",
+                "nodes": [{"id": "c1", "type": "chart", "vis_type": "bar"}, {"id": "t1", "type": "text"}],
+                "adjacency": [{"source": "c1", "target": "c1", "config": "containment"}],
+            },
+            "adjacency edge 'c1' -> 'c1' is a self-loop",
+        ),
+        (
+            {
+                "dashboard_id": "d1",
+                "nodes": [{"id": "c1", "type": "chart", "vis_type": "bar"}, {"id": "t1", "type": "text"}],
+                "interaction": [{"source": "c1", "target": "t1", "class": "filter_chart", "itype": "filter"}],
+            },
+            "interaction edge 'c1' -> 't1' has class 'filter_chart'",
+        ),
+    ],
+    ids=["all-three", "self-loop", "class-without-filter"],
+)
+def test_graph_document_whose_edges_contradict_its_nodes_fails(tmp_path, capsys, doc, fault):
+    graphs = tmp_path / "graphs"
+    graphs.mkdir()
+    (graphs / "d1.graph.json").write_text(json.dumps(doc))
+    for stage in ("analyze", "features", "report", "lint"):
+        out = tmp_path / stage
+        assert main([stage, "--input", str(graphs), "--out", str(out)]) == 2
+        error = _only_error(capsys)
+        assert (error["error"], error["stage"]) == ("SchemaViolation", stage)
+        assert error["message"].startswith("d1.graph.json: dashboard 'd1': ")
+        assert fault in error["message"]
+        assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "name, text, error_type, where",
+    [
+        ("d1.json", '{"id":\n', "MalformedDocument", "d1.json: JSON syntax error: "),
+        (
+            "wb.xml",
+            "<workbook><dashboards><dashboard id='d1'>"
+            "<zone id='z' type='blank' x='0' y='0' w='10' h='10'/>"
+            "</dashboard></dashboards></workbook>",
+            "SchemaViolation",
+            "wb.xml: dashboards/dashboard[0]/zone[0]: unknown zone kind: 'blank'",
+        ),
+    ],
+    ids=["truncated-json", "blank-xml-zone"],
+)
+def test_parse_errors_name_the_document(tmp_path, capsys, name, text, error_type, where):
+    (tmp_path / name).write_text(text)
+    out = tmp_path / "out"
+    assert main(["parse", "--input", str(tmp_path / name), "--out", str(out)]) == 2
+    error = _only_error(capsys)
+    assert (error["error"], error["stage"]) == (error_type, "parse")
+    assert error["message"].startswith(where)
+    if error_type == "MalformedDocument":
+        assert error["message"].endswith("(line 2, column 1)")
+    assert not out.exists()
+
+
 def test_parse_rejects_json_block_props_of_the_wrong_shape(tmp_path, capsys):
     block = {"id": "c1", "type": "chart", "x": 0, "y": 0, "w": 10, "h": 10, "props": []}
     (tmp_path / "d1.json").write_text(json.dumps({"id": "d1", "blocks": [block]}))
@@ -283,6 +386,59 @@ def test_scale_rejects_scaler_of_the_wrong_shape(tmp_path, capsys):
     assert (error["error"], error["stage"]) == ("SchemaViolation", "scale")
     assert error["message"].startswith("scaler.json: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "key, edit",
+    [("std", lambda v: [0.0] + v[1:]), ("mean", lambda v: v[:-1])],
+    ids=["zero-std", "short-mean"],
+)
+def test_scale_rejects_a_scaler_that_cannot_be_applied(tmp_path, capsys, key, edit):
+    work = _fixture_graphs(tmp_path)
+    assert main(["features", "--input", str(work), "--out", str(work)]) == 0
+    assert main(["fit-scaler", "--input", str(work / "features.csv"), "--out", str(work)]) == 0
+    doc = json.loads((work / "scaler.json").read_text())
+    doc[key] = edit(doc[key])
+    (tmp_path / "scaler.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["scale", "--input", str(work / "features.csv"), "--scaler", str(tmp_path / "scaler.json")]
+    assert main(argv + ["--out", str(out)]) == 2
+    error = _only_error(capsys)
+    assert error["stage"] == "scale"
+    assert f"scaler {key}" in error["message"]
+    assert not (out / "features_scaled.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "edit, error_type, fragment",
+    [
+        (lambda cells: cells[:-1], "ManifestMismatch", "has 18 values, header has 19"),
+        (
+            lambda cells: cells[:2] + ["abc"] + cells[3:],
+            "ValueError",
+            "column 'has_chart' is not a number: 'abc'",
+        ),
+    ],
+    ids=["last-value-cut", "cell-not-a-number"],
+)
+def test_feature_rows_must_hold_one_number_per_column(tmp_path, capsys, edit, error_type, fragment):
+    work = tmp_path / "work"
+    run_pipeline(work)
+    lines = (work / "features_scaled.csv").read_text().splitlines()
+    bad = lines[:2] + [",".join(edit(line.split(","))) for line in lines[2:]]
+    (tmp_path / "bad.csv").write_text("\n".join(bad) + "\n")
+    first_id = lines[2].split(",")[0]
+    out = tmp_path / "out"
+    stages = {
+        "cluster": ["cluster", "--input", str(tmp_path / "bad.csv"), "--min-cluster-size", "2"],
+        "fit-scaler": ["fit-scaler", "--input", str(tmp_path / "bad.csv")],
+    }
+    for stage, argv in stages.items():
+        assert main(argv + ["--out", str(out)]) == 2
+        error = _only_error(capsys)
+        assert (error["error"], error["stage"]) == (error_type, stage)
+        assert f"row {first_id!r}" in error["message"] and fragment in error["message"]
+        assert not out.exists()
 
 
 def test_fit_scaler_and_scale_reject_non_finite_features(tmp_path, capsys):
@@ -365,7 +521,7 @@ def test_repeated_block_id_fails_graph_and_later_stages(tmp_path, capsys):
     assert main(["parse", "--input", str(tmp_path / "d1.json"), "--lenient", "--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert (error["error"], error["stage"]) == ("SchemaViolation", "parse")
-    assert "duplicate block id: c2" in error["message"]
+    assert "duplicate block id: 'c2'" in error["message"]
     assert not out.exists()
     # graph must reject such a dashboard too, however it got into the file
     out.mkdir()
@@ -491,7 +647,7 @@ def test_cluster_sweep_rejects_empty_range_and_bad_step(tmp_path, capsys, spec):
     matrix = tmp_path / "features_scaled.csv"
     manifest = default_manifest()
     width = len(manifest.names)
-    rows = [FeatureVector(f"d{i}", (float(i % 3),) * width, scaled=True) for i in range(30)]
+    rows = [FeatureVector(f"d{i}", (float(i % 3),) * width) for i in range(30)]
     matrix.write_text(matrix_to_csv(rows, manifest))
     out = tmp_path / "out"
     assert main(["cluster", "--input", str(matrix), "--sweep", spec, "--out", str(out)]) == 2
@@ -507,7 +663,7 @@ def test_labels_csv_round_trips_ids_with_commas(tmp_path):
     ids = ["d0", "with,comma", 'say "hi"', "d3", "d4,x", "d5"]
     centers = [0.0, 0.0, 0.0, 50.0, 50.0, 50.0]
     vectors = [
-        FeatureVector(d, tuple(c + 0.1 * k + j for j in range(width)), scaled=True)
+        FeatureVector(d, tuple(c + 0.1 * k + j for j in range(width)))
         for k, (d, c) in enumerate(zip(ids, centers))
     ]
     matrix = tmp_path / "features_scaled.csv"

@@ -155,7 +155,6 @@ def test_apply_scaler_single_value():
     scaler = fit_scaler([_vec("a", [2, 0]), _vec("b", [4, 1])], manifest)
     scaled = apply_scaler(scaler, _vec("x", [4, 1]))
     assert scaled.values[0] == 1.0  # (4 - 3) / 1
-    assert scaled.scaled is True
 
 
 def test_scaling_round_trip():
@@ -274,3 +273,58 @@ def test_scaler_document_with_non_finite_moments_is_rejected(key):
     with pytest.raises(NonFiniteInput) as info:
         Scaler.from_dict(doc)
     assert key in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "edit, error, fragment",
+    [
+        (lambda cells: cells[:-1], ManifestMismatch, "row 'd1' has 18 values, header has 19"),
+        (lambda cells: cells + ["1.0"], ManifestMismatch, "row 'd1' has 20 values, header has 19"),
+        (
+            lambda cells: cells[:1 + COL["adj_n_edges"]] + ["abc"] + cells[2 + COL["adj_n_edges"]:],
+            ValueError,
+            "row 'd1', column 'adj_n_edges' is not a number: 'abc'",
+        ),
+    ],
+    ids=["short-row", "long-row", "not-a-number"],
+)
+def test_csv_row_must_hold_one_number_per_header_column(edit, error, fragment):
+    width = len(MANIFEST.names)
+    vectors = [FeatureVector(f"d{k}", tuple(float(k + j) for j in range(width))) for k in range(3)]
+    lines = matrix_to_csv(vectors, MANIFEST).splitlines()
+    lines[2] = ",".join(edit(lines[2].split(",")))
+    with pytest.raises(error) as info:
+        matrix_from_csv("\n".join(lines) + "\n")
+    assert fragment in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "kwargs, error, fragment",
+    [
+        ({"mean": (1.0,)}, ManifestMismatch, "scaler mean does not hold one value per manifest column"),
+        ({"std": (1.0, 1.0, 1.0)}, ManifestMismatch, "scaler std does not hold"),
+        ({"constant": ()}, ManifestMismatch, "scaler constant does not hold"),
+        ({"mean": (0.0, float("inf"))}, NonFiniteInput, "scaler mean of column 'adj_n_edges'"),
+        ({"std": (float("nan"), 1.0)}, NonFiniteInput, "scaler std of column 'n_blocks'"),
+        ({"std": (1.0, 0.0)}, ValueError, "scaler std of column 'adj_n_edges' is 0.0"),
+        ({"std": (-2.0, 1.0)}, ValueError, "scaler std of column 'n_blocks' is -2.0"),
+    ],
+    ids=["short-mean", "long-std", "empty-constant", "inf-mean", "nan-std", "zero-std", "negative-std"],
+)
+def test_scaler_checks_itself(kwargs, error, fragment):
+    fields = {"mean": (0.0, 0.0), "std": (1.0, 1.0), "constant": (False, False)} | kwargs
+    with pytest.raises(error) as info:
+        Scaler(manifest=_manifest2(), **fields)
+    assert fragment in str(info.value)
+    doc = {"manifest": list(_manifest2().names)} | {k: list(v) for k, v in fields.items()}
+    with pytest.raises(error):
+        Scaler.from_dict(doc)
+
+
+def test_fit_scaler_stores_an_overflowing_flag_column_as_mean_0_std_1():
+    manifest = FeatureManifest(names=("n_blocks", "has_chart"))
+    vectors = [_vec(f"d{i}", [i, 1e308 if i % 2 else -1e308]) for i in range(4)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        scaler = fit_scaler(vectors, manifest)
+    assert (scaler.mean[1], scaler.std[1], scaler.constant[1]) == (0.0, 1.0, False)

@@ -274,13 +274,14 @@ def test_unsupported_action_pair_dropped_and_counted():
 def test_dangling_action_endpoint_raises():
     from dashmine.model import ActionRecord
 
-    d = Dashboard(
-        id="d",
-        blocks=(make_block("c", BlockType.CHART, 0, 0, 10, 10),),
-        declared_interactions=(ActionRecord("c", "ghost", "filter"),),
-    )
-    with pytest.raises(SchemaViolation):
-        build_interaction_graph(d)
+    # a dashboard with a dangling action never reaches build_interaction_graph
+    with pytest.raises(SchemaViolation) as info:
+        Dashboard(
+            id="d",
+            blocks=(make_block("c", BlockType.CHART, 0, 0, 10, 10),),
+            declared_interactions=(ActionRecord("c", "ghost", "filter"),),
+        )
+    assert "'d'" in str(info.value) and "'ghost'" in str(info.value)
 
 
 def test_edge_class_always_matches_endpoint_types():

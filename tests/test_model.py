@@ -30,14 +30,15 @@ from conftest import make_block, random_dashboard
 
 
 def test_validate_duplicate_block_id():
-    d = Dashboard(
-        id="d",
-        blocks=(
-            make_block("b1", BlockType.TEXT, 0, 0, 10, 10),
-            make_block("b1", BlockType.TEXT, 20, 0, 10, 10),
-        ),
-    )
-    assert validate(d) == ["duplicate block id: b1"]
+    with pytest.raises(SchemaViolation) as info:
+        Dashboard(
+            id="d",
+            blocks=(
+                make_block("b1", BlockType.TEXT, 0, 0, 10, 10),
+                make_block("b1", BlockType.TEXT, 20, 0, 10, 10),
+            ),
+        )
+    assert str(info.value) == "dashboard 'd': duplicate block id: 'b1'"
 
 
 def test_validate_fig_b_is_clean(fig_b):
@@ -45,31 +46,36 @@ def test_validate_fig_b_is_clean(fig_b):
 
 
 def test_validate_dangling_action_endpoint():
-    d = Dashboard(
-        id="d",
-        blocks=(make_block("c1", BlockType.CHART, 0, 0, 10, 10),),
-        declared_interactions=(ActionRecord("ghost", "c1", "filter"),),
-    )
-    assert validate(d) == ["unknown interaction endpoint: ghost"]
+    with pytest.raises(SchemaViolation) as info:
+        Dashboard(
+            id="d",
+            blocks=(make_block("c1", BlockType.CHART, 0, 0, 10, 10),),
+            declared_interactions=(ActionRecord("ghost", "c1", "filter"),),
+        )
+    assert str(info.value) == "dashboard 'd': unknown interaction endpoint: 'ghost'"
 
 
 def test_validate_rejects_zero_area_blocks():
-    d = Dashboard(id="d", blocks=(make_block("b", BlockType.TEXT, 0, 0, 0, 10),))
-    violations = validate(d)
-    assert len(violations) == 1 and "zero-area" in violations[0]
+    with pytest.raises(SchemaViolation) as info:
+        Dashboard(id="d", blocks=(make_block("b", BlockType.TEXT, 0, 0, 0, 10),))
+    assert str(info.value) == "dashboard 'd': zero-area block: 'b' (w=0, h=10)"
 
 
 def test_validate_props_variant_must_match_type():
     block = Block(id="b", block_type=BlockType.CHART, x=0, y=0, w=5, h=5, props=TextProps())
-    violations = validate(Dashboard(id="d", blocks=(block,)))
-    assert len(violations) == 1 and "props mismatch" in violations[0]
+    with pytest.raises(SchemaViolation) as info:
+        Dashboard(id="d", blocks=(block,))
+    assert str(info.value) == "dashboard 'd': props mismatch for block 'b': TextProps on a chart block"
 
 
 def test_validate_chart_type_consistency():
     props = ChartProps(vis_type="pie", marks=("bar",), encodings=())
     block = Block(id="b", block_type=BlockType.CHART, x=0, y=0, w=5, h=5, props=props)
-    violations = validate(Dashboard(id="d", blocks=(block,)))
-    assert len(violations) == 1 and "chart type mismatch" in violations[0]
+    with pytest.raises(SchemaViolation) as info:
+        Dashboard(id="d", blocks=(block,))
+    assert str(info.value) == (
+        "dashboard 'd': chart type mismatch for block 'b': declared 'pie', marks/encodings imply 'bar'"
+    )
 
 
 def test_serialization_round_trip_fixtures(fig_a, fig_b, fig_c):
@@ -152,27 +158,77 @@ def test_graphs_doc_chart_without_vis_type_reads_unknown():
 _NODES = (GraphNode("c", BlockType.CHART, "bar"), GraphNode("f", BlockType.FILTER, None))
 
 
+_ADJ = AdjacencyConfig.ADJOINING
+_FC = EdgeClass.FILTER_TO_CHART
+
+
 @pytest.mark.parametrize(
-    "kwargs, kind",
+    "kwargs, fault",
     [
-        ({"nodes": _NODES + (GraphNode("c", BlockType.CHART, "line"),)}, None),
-        ({"adjacency_edges": (AdjacencyEdge("c", "zz", AdjacencyConfig.ADJOINING),)}, "adjacency"),
+        ({"nodes": _NODES + (GraphNode("c", BlockType.CHART, "line"),)}, "repeated node id 'c'"),
         (
-            {"interaction_edges": (InteractionEdge("zz", "c", "filter", EdgeClass.FILTER_TO_CHART),)},
-            "interaction",
+            {"adjacency_edges": (AdjacencyEdge("c", "zz", _ADJ),)},
+            "adjacency edge 'c' -> 'zz' has an endpoint that is not a node",
+        ),
+        (
+            {"interaction_edges": (InteractionEdge("zz", "c", "filter", _FC),)},
+            "interaction edge 'zz' -> 'c' has an endpoint that is not a node",
+        ),
+        (
+            {"interaction_edges": (InteractionEdge("f", "c", "filter", EdgeClass.LEGEND_TO_CHART),)},
+            "interaction edge 'f' -> 'c' has class 'legend_chart'",
+        ),
+        (
+            {"interaction_edges": (InteractionEdge("c", "f", "filter", _FC),)},
+            "interaction edge 'c' -> 'f' has class 'filter_chart'",
+        ),
+        ({"adjacency_edges": (AdjacencyEdge("c", "c", _ADJ),)}, "adjacency edge 'c' -> 'c' is a self-loop"),
+        (
+            {"interaction_edges": (InteractionEdge("c", "c", "filter", EdgeClass.CHART_TO_CHART),)},
+            "interaction edge 'c' -> 'c' is a self-loop",
+        ),
+        (
+            {"adjacency_edges": (AdjacencyEdge("f", "c", _ADJ),)},
+            "adjacency edge 'f' -> 'c' is not stored with source < target",
+        ),
+        (
+            {"adjacency_edges": (AdjacencyEdge("c", "f", _ADJ), AdjacencyEdge("c", "f", AdjacencyConfig.CONTAINMENT))},
+            "adjacency edge 'c' -> 'f' is repeated",
+        ),
+        (
+            {
+                "interaction_edges": (
+                    InteractionEdge("f", "c", "filter", _FC),
+                    InteractionEdge("f", "c", "highlight", _FC),
+                )
+            },
+            "interaction edge 'f' -> 'c' is repeated",
         ),
     ],
-    ids=["repeated-node-id", "dangling-adjacency-edge", "dangling-interaction-edge"],
+    ids=[
+        "repeated-node-id",
+        "dangling-adjacency-edge",
+        "dangling-interaction-edge",
+        "interaction-class-not-implied",
+        "interaction-to-non-chart",
+        "adjacency-self-loop",
+        "interaction-self-loop",
+        "adjacency-source-after-target",
+        "repeated-adjacency-pair",
+        "repeated-interaction-pair",
+    ],
 )
-def test_dashboard_graphs_checks_its_invariants(kwargs, kind):
+def test_dashboard_graphs_checks_its_invariants(kwargs, fault):
     with pytest.raises(SchemaViolation) as info:
         DashboardGraphs(**({"dashboard_id": "d1", "nodes": _NODES} | kwargs))
-    message = str(info.value)
-    assert "'d1'" in message
-    if kind is None:
-        assert "repeated node id 'c'" in message
-    else:
-        assert f"{kind} edge" in message and "'zz'" in message
+    assert str(info.value).startswith("dashboard 'd1': ")
+    assert fault in str(info.value)
+
+
+def test_dashboard_graphs_accepts_both_directions_of_an_interaction():
+    nodes = (GraphNode("a", BlockType.CHART, "bar"), GraphNode("b", BlockType.CHART, "line"))
+    edges = tuple(InteractionEdge(s, t, "filter", EdgeClass.CHART_TO_CHART) for s, t in ("ab", "ba"))
+    assert DashboardGraphs("d1", nodes, (AdjacencyEdge("a", "b", _ADJ),), edges).interaction_edges == edges
 
 
 @pytest.mark.parametrize(
