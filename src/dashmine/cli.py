@@ -12,22 +12,28 @@ Stages hand off through files, so each is independently re-runnable:
     report     graph files             -> summary.json (+ csv tables)
     lint       graph files             -> findings, newline-delimited JSON
 
-Every stage runs serially in one process.  Every artifact embeds the
-fingerprint of the semantic configuration that produced it, so a
-pipeline rerun with the same inputs is byte-identical.  Dashboard ids
-name per-dashboard files, so every stage that reads dashboards or graph
-files rejects ids that are repeated or not safe as file names.
-Artifacts are written atomically (temp file, then rename).  Failures
-print a machine-readable JSON error on stderr, remove the stage's earlier
-outputs and exit with status 2.  The defaults of
-``--out``, ``--format``, ``--min-charts``, ``--tolerance`` and
-``--min-cluster-size`` can be overridden with a ``DASHMINE_<OPTION>``
-environment variable (e.g. ``DASHMINE_TOLERANCE``).
+Every stage runs serially in one process.  Every artifact but lint's
+``findings.ndjson`` embeds the fingerprint of the semantic configuration
+that produced it (:class:`_Outputs`), so a pipeline rerun with the same
+inputs is byte-identical.  Dashboard ids name per-dashboard files, so
+every stage that reads dashboards or graph files rejects ids that are
+repeated or not safe as file names.  Artifacts are written atomically
+(temp file, then rename).  Failures print a machine-readable JSON error
+on stderr, remove the stage's earlier outputs and exit with status 2.
+An input that fails to decode (:func:`_reading`) fails so with a message
+that starts with its file name (``file:line`` for a ``dashboards.ndjson``
+line); a feature-CSV cell that is not a number is a ``SchemaViolation``,
+and ``cluster`` rejects values spread so far that a distance could
+overflow (``NonFiniteInput``).  The defaults of ``--out``, ``--format``,
+``--min-charts``, ``--tolerance`` and ``--min-cluster-size`` can be
+overridden with a ``DASHMINE_<OPTION>`` environment variable (e.g.
+``DASHMINE_TOLERANCE``).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import glob
 import hashlib
@@ -36,10 +42,10 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 from . import analysis, cluster, features, geometry, ingest, model, report
-from .errors import DashmineError, MalformedDocument, SchemaViolation
+from .errors import DashmineError, SchemaViolation
 
 EXIT_OK = 0
 EXIT_FINDINGS = 1
@@ -58,15 +64,37 @@ def _fingerprint(config: dict[str, Any]) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-class _Outputs:
-    """Tracks written files so a failing stage can clean up after itself."""
+def _ndjson(docs: Iterable[dict[str, Any]]) -> str:
+    return "".join(json.dumps(doc, sort_keys=True) + "\n" for doc in docs)
 
-    def __init__(self):
+
+def _csv(rows: Iterable[Sequence[Any]]) -> str:
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+class _Outputs(contextlib.AbstractContextManager):
+    """Writes one stage's artifacts into ``directory``, stamped with its
+    ``fingerprint``: a ``_fingerprint`` key in each JSON document and NDJSON
+    line, a leading ``# config_fingerprint=`` line in each CSV (lint writes
+    unstamped text).  Leaving by an exception removes what it wrote."""
+
+    def __init__(self, directory: str, fingerprint: str | None):
+        self.directory = Path(directory)
+        self.fingerprint = fingerprint
         self.paths: list[Path] = []
 
-    def write_text(self, path: Path, text: str) -> None:
+    def __exit__(self, exc_type, exc, tb) -> None:
+        if exc_type is not None:
+            for path in self.paths:
+                with contextlib.suppress(OSError):
+                    path.unlink()
+
+    def write_text(self, name: str, text: str) -> None:
         """Write through a temp file in the same directory, then rename it
         into place, so a failed write never leaves a partial artifact."""
+        path = self.directory / name
         path.parent.mkdir(parents=True, exist_ok=True)
         tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
         try:
@@ -77,15 +105,52 @@ class _Outputs:
             raise
         self.paths.append(path)
 
-    def write_json(self, path: Path, doc: Any) -> None:
-        self.write_text(path, json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    def write_json(self, name: str, doc: dict[str, Any]) -> None:
+        stamped = doc | {"_fingerprint": self.fingerprint}
+        self.write_text(name, json.dumps(stamped, sort_keys=True, indent=2) + "\n")
 
-    def remove_all(self) -> None:
-        for path in self.paths:
-            try:
-                path.unlink()
-            except OSError:
-                pass
+    def write_ndjson(self, name: str, docs: Iterable[dict[str, Any]]) -> None:
+        self.write_text(name, _ndjson(doc | {"_fingerprint": self.fingerprint} for doc in docs))
+
+    def write_csv(self, name: str, text: str) -> None:
+        self.write_text(name, f"# config_fingerprint={self.fingerprint}\n{text}")
+
+
+@contextlib.contextmanager
+def _reading(where: str) -> Iterator[None]:
+    """Decode the input ``where`` (a file name, or ``file:line``) inside.
+
+    The package's own errors keep their type, line and column and gain
+    ``where`` at the front of their message; a missing key, a value of
+    the wrong type or range, or nesting too deep becomes a
+    :class:`SchemaViolation` naming ``where``.  Wrap reading and decoding
+    only, never a computation, so a program bug never reads as bad input.
+    """
+    try:
+        yield
+    except DashmineError as exc:
+        exc.args = (f"{where}: {exc}",)
+        if isinstance(exc, SchemaViolation):
+            exc.path = f"{where}: {exc.path}" if exc.path else where
+        raise
+    except KeyError as exc:
+        raise SchemaViolation(f"missing key {exc}", path=where) from exc
+    except (AttributeError, TypeError, ValueError, OverflowError, RecursionError) as exc:
+        raise SchemaViolation(f"{type(exc).__name__}: {exc}", path=where) from exc
+
+
+def _from_json(text: str, from_dict: Callable[[dict], Any]) -> Any:
+    """``from_dict`` of a JSON object; runs inside :func:`_reading`."""
+    obj = json.loads(text)
+    if not isinstance(obj, dict):
+        raise SchemaViolation(f"document is a JSON {type(obj).__name__}, not an object")
+    return from_dict(obj)
+
+
+def _read(path: Path, decode: Callable[..., Any], *args: Any) -> Any:
+    """``decode(text, *args)`` of the file ``path``, inside :func:`_reading`."""
+    with _reading(path.name):
+        return decode(path.read_text(), *args)
 
 
 def _expand_inputs(patterns: Sequence[str], suffixes: tuple[str, ...]) -> list[Path]:
@@ -103,31 +168,12 @@ def _expand_inputs(patterns: Sequence[str], suffixes: tuple[str, ...]) -> list[P
     return sorted(set(paths))
 
 
-def _decode(text: str, from_dict: Callable[[dict], Any], where: str) -> Any:
-    """Decode one JSON document read from outside with ``from_dict``.
-
-    A document that is not valid JSON, not an object, or not of the shape
-    ``from_dict`` reads fails as a :class:`SchemaViolation` naming ``where``.
-    """
-    try:
-        obj = json.loads(text)
-        if not isinstance(obj, dict):
-            raise SchemaViolation(f"document is a JSON {type(obj).__name__}, not an object")
-        return from_dict(obj)
-    except SchemaViolation as exc:
-        raise SchemaViolation(str(exc), path=where) from exc
-    except KeyError as exc:
-        raise SchemaViolation(f"missing key {exc}", path=where) from exc
-    except (AttributeError, TypeError, ValueError) as exc:
-        raise SchemaViolation(f"{type(exc).__name__}: {exc}", path=where) from exc
-
-
 def _load_graph_docs(patterns: Sequence[str]) -> list[model.DashboardGraphs]:
     paths = _expand_inputs(patterns, suffixes=(".graph.json",))
     graph_paths = [p for p in paths if p.name.endswith(".graph.json")]
     if not graph_paths:
         raise FileNotFoundError("no *.graph.json inputs found")
-    docs = [_decode(p.read_text(), model.graphs_from_dict, p.name) for p in graph_paths]
+    docs = [_read(p, _from_json, model.graphs_from_dict) for p in graph_paths]
     _check_ids([g.dashboard_id for g in docs])
     docs.sort(key=lambda g: g.dashboard_id)
     return docs
@@ -149,7 +195,7 @@ def _check_ids(ids: Sequence[str]) -> None:
 # --- stage implementations --------------------------------------------------
 
 
-def _cmd_parse(args, out: _Outputs) -> int:
+def _cmd_parse(args) -> int:
     fp = _fingerprint(
         {
             "stage": "parse",
@@ -165,99 +211,81 @@ def _cmd_parse(args, out: _Outputs) -> int:
         fmt = args.format
         if fmt == "auto":
             fmt = "json" if path.suffix == ".json" else "xml"
-        try:
+        with _reading(path.name):
             dashboards.extend(ingest.parse_workbook(path.read_bytes(), format=fmt, strict=not args.lenient))
-        except (MalformedDocument, SchemaViolation) as exc:
-            # keeps the type, line and column; a schema path gains the file name too
-            exc.args = (f"{path.name}: {exc}",)
-            if isinstance(exc, SchemaViolation):
-                exc.path = f"{path.name}: {exc.path}" if exc.path else path.name
-            raise
     _check_ids([d.id for d in dashboards])
     dashboards = ingest.filter_corpus(dashboards, min_charts=args.min_charts)
 
-    lines = []
-    for d in dashboards:
-        doc = model.dashboard_to_dict(d)
-        doc["_fingerprint"] = fp
-        lines.append(json.dumps(doc, sort_keys=True))
-    out.write_text(Path(args.out) / "dashboards.ndjson", "\n".join(lines) + ("\n" if lines else ""))
+    with _Outputs(args.out, fp) as out:
+        out.write_ndjson("dashboards.ndjson", map(model.dashboard_to_dict, dashboards))
     print(f"parsed {len(paths)} document(s) -> {len(dashboards)} dashboard(s)")
     return EXIT_OK
 
 
-def _cmd_graph(args, out: _Outputs) -> int:
+def _cmd_graph(args) -> int:
     fp = _fingerprint({"stage": "graph", "tolerance": args.tolerance})
     tol = geometry.Tolerance(args.tolerance)
     source = Path(args.input)
     if source.is_dir():
         source = source / "dashboards.ndjson"
-    dashboards = [
-        _decode(line, model.dashboard_from_dict, f"{source.name}:{number}")
-        for number, line in enumerate(source.read_text().splitlines(), start=1)
-        if line.strip()
-    ]
+    dashboards = []
+    for number, line in enumerate(_read(source, str.splitlines), start=1):
+        if line.strip():
+            with _reading(f"{source.name}:{number}"):
+                dashboards.append(_from_json(line, model.dashboard_from_dict))
     _check_ids([d.id for d in dashboards])
-    for d in dashboards:
-        doc = model.graphs_to_dict(geometry.build_graphs(d, tol))
-        doc["_fingerprint"] = fp
-        out.write_json(Path(args.out) / f"{d.id}.graph.json", doc)
+    with _Outputs(args.out, fp) as out:
+        for d in dashboards:
+            out.write_json(f"{d.id}.graph.json", model.graphs_to_dict(geometry.build_graphs(d, tol)))
     print(f"built graphs for {len(dashboards)} dashboard(s)")
     return EXIT_OK
 
 
-def _cmd_analyze(args, out: _Outputs) -> int:
+def _cmd_analyze(args) -> int:
     fp = _fingerprint({"stage": "analyze"})
     docs = _load_graph_docs(args.input)
 
-    for graphs in docs:
-        doc = analysis.analyze_graphs(graphs)
-        doc["_fingerprint"] = fp
-        out.write_json(Path(args.out) / f"{graphs.dashboard_id}.analysis.json", doc)
+    with _Outputs(args.out, fp) as out:
+        for graphs in docs:
+            out.write_json(f"{graphs.dashboard_id}.analysis.json", analysis.analyze_graphs(graphs))
     print(f"analyzed {len(docs)} dashboard(s)")
     return EXIT_OK
 
 
-def _load_manifest(path: str | None) -> features.FeatureManifest:
-    if path is None:
-        return features.default_manifest()
-    return _decode(Path(path).read_text(), features.FeatureManifest.from_dict, Path(path).name)
-
-
-def _cmd_features(args, out: _Outputs) -> int:
-    manifest = _load_manifest(args.manifest)
+def _cmd_features(args) -> int:
+    manifest = features.default_manifest()
+    if args.manifest is not None:
+        manifest = _read(Path(args.manifest), _from_json, features.FeatureManifest.from_dict)
     fp = _fingerprint(
         {"stage": "features", "manifest": list(manifest.names), "version": manifest.version}
     )
     docs = _load_graph_docs(args.input)
     vectors = [features.extract_features(g, manifest) for g in docs]
-    csv_text = features.matrix_to_csv(vectors, manifest, comment=f"config_fingerprint={fp}")
-    out.write_text(Path(args.out) / "features.csv", csv_text)
+    with _Outputs(args.out, fp) as out:
+        out.write_csv("features.csv", features.matrix_to_csv(vectors, manifest))
     print(f"extracted {len(vectors)} feature vector(s) x {len(manifest.names)} column(s)")
     return EXIT_OK
 
 
-def _cmd_fit_scaler(args, out: _Outputs) -> int:
-    manifest, vectors = features.matrix_from_csv(Path(args.input).read_text())
+def _cmd_fit_scaler(args) -> int:
+    manifest, vectors = _read(Path(args.input), features.matrix_from_csv)
     fp = _fingerprint({"stage": "fit-scaler", "manifest": list(manifest.names)})
     scaler = features.fit_scaler(vectors, manifest)
-    doc = scaler.to_dict()
-    doc["_fingerprint"] = fp
-    out.write_json(Path(args.out) / "scaler.json", doc)
+    with _Outputs(args.out, fp) as out:
+        out.write_json("scaler.json", scaler.to_dict())
     print(f"fitted scaler on {len(vectors)} row(s)")
     return EXIT_OK
 
 
-def _cmd_scale(args, out: _Outputs) -> int:
+def _cmd_scale(args) -> int:
     fp = _fingerprint({"stage": "scale"})
-    manifest, vectors = features.matrix_from_csv(Path(args.input).read_text())
-    scaler_path = Path(args.scaler)
-    scaler = _decode(scaler_path.read_text(), features.Scaler.from_dict, scaler_path.name)
+    manifest, vectors = _read(Path(args.input), features.matrix_from_csv)
+    scaler = _read(Path(args.scaler), _from_json, features.Scaler.from_dict)
     if scaler.manifest.names != manifest.names:
         raise features.ManifestMismatch("scaler manifest does not match the feature CSV header")
     scaled = [features.apply_scaler(scaler, v) for v in vectors]
-    csv_text = features.matrix_to_csv(scaled, manifest, comment=f"config_fingerprint={fp}")
-    out.write_text(Path(args.out) / "features_scaled.csv", csv_text)
+    with _Outputs(args.out, fp) as out:
+        out.write_csv("features_scaled.csv", features.matrix_to_csv(scaled, manifest))
     print(f"scaled {len(scaled)} row(s)")
     return EXIT_OK
 
@@ -280,8 +308,8 @@ def _parse_sweep(spec: str) -> list[int]:
     return sizes
 
 
-def _cmd_cluster(args, out: _Outputs) -> int:
-    manifest, vectors = features.matrix_from_csv(Path(args.input).read_text())
+def _cmd_cluster(args) -> int:
+    manifest, vectors = _read(Path(args.input), features.matrix_from_csv)
     ids = [v.dashboard_id for v in vectors]
     matrix = [list(v.values) for v in vectors]
 
@@ -289,83 +317,55 @@ def _cmd_cluster(args, out: _Outputs) -> int:
         sizes = _parse_sweep(args.sweep)
         fp = _fingerprint({"stage": "cluster", "sweep": sizes, "min_samples": args.min_samples})
         rows = cluster.sweep_min_cluster_size(matrix, sizes, min_samples=args.min_samples)
-        out.write_json(Path(args.out) / "sweep.json", {"_fingerprint": fp, "settings": rows})
+        with _Outputs(args.out, fp) as out:
+            out.write_json("sweep.json", {"settings": rows})
         print(f"swept {len(sizes)} setting(s)")
         return EXIT_OK
 
-    fp = _fingerprint(
-        {
-            "stage": "cluster",
-            "min_cluster_size": args.min_cluster_size,
-            "min_samples": args.min_samples,
-        }
-    )
-    params = cluster.ClusterParams(
-        min_cluster_size=args.min_cluster_size, min_samples=args.min_samples
-    )
-    result = cluster.hdbscan(matrix, params)
+    params = {"min_cluster_size": args.min_cluster_size, "min_samples": args.min_samples}
+    fp = _fingerprint({"stage": "cluster", **params})
+    result = cluster.hdbscan(matrix, cluster.ClusterParams(**params))
 
-    buf = io.StringIO()
-    buf.write(f"# config_fingerprint={fp}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(("dashboard_id", "label", "stability"))
-    for dash_id, label in zip(ids, result.labels):
-        stability = repr(result.stabilities[int(label)]) if label != cluster.NOISE else ""
-        writer.writerow((dash_id, int(label), stability))
-    out.write_text(Path(args.out) / "labels.csv", buf.getvalue())
+    with _Outputs(args.out, fp) as out:
+        labels = [("dashboard_id", "label", "stability")]
+        for dash_id, label in zip(ids, result.labels):
+            stability = repr(result.stabilities[int(label)]) if label != cluster.NOISE else ""
+            labels.append((dash_id, int(label), stability))
+        out.write_csv("labels.csv", _csv(labels))
+        out.write_json("condensed_tree.json", cluster.export_dendrogram(result))
 
-    tree = cluster.export_dendrogram(result)
-    tree["_fingerprint"] = fp
-    out.write_json(Path(args.out) / "condensed_tree.json", tree)
-
-    if result.n_clusters >= 2:
-        scores = cluster.silhouette(matrix, result.labels)
-        out.write_json(
-            Path(args.out) / "silhouette.json",
-            {
-                "_fingerprint": fp,
-                "overall": scores.overall,
-                "per_cluster": {str(k): v for k, v in scores.per_cluster.items()},
-            },
-        )
+        if result.n_clusters >= 2:
+            scores = cluster.silhouette(matrix, result.labels)
+            per_cluster = {str(k): v for k, v in scores.per_cluster.items()}
+            out.write_json("silhouette.json", {"overall": scores.overall, "per_cluster": per_cluster})
     noise = int((result.labels == cluster.NOISE).sum())
     print(f"clustered {len(ids)} row(s): {result.n_clusters} cluster(s), {noise} noise")
     return EXIT_OK
 
 
-def _cmd_report(args, out: _Outputs) -> int:
+def _cmd_report(args) -> int:
     fp = _fingerprint({"stage": "report"})
     summary = report.summarize_corpus(_load_graph_docs(args.input))
-    out.write_json(Path(args.out) / "summary.json", summary | {"_fingerprint": fp})
-
-    if args.csv_tables:
-        block_lines = [f"# config_fingerprint={fp}", "block_type,count,share"]
-        for t, c in summary["block_counts"].items():
-            block_lines.append(f"{t},{c},{repr(summary['block_shares'][t])}")
-        out.write_text(Path(args.out) / "block_distribution.csv", "\n".join(block_lines) + "\n")
-
-        clique_lines = [f"# config_fingerprint={fp}", "pattern,count"]
-        for pattern, count in summary["clique_patterns"].items():
-            clique_lines.append(f"{pattern},{count}")
-        out.write_text(Path(args.out) / "clique_patterns.csv", "\n".join(clique_lines) + "\n")
-
-        edge_lines = [f"# config_fingerprint={fp}", "edge_class,share_of_interactive"]
-        for cls, share in summary["edge_class_presence_shares"].items():
-            edge_lines.append(f"{cls},{repr(share)}")
-        out.write_text(Path(args.out) / "edge_class_shares.csv", "\n".join(edge_lines) + "\n")
-
+    with _Outputs(args.out, fp) as out:
+        out.write_json("summary.json", summary)
+        if args.csv_tables:
+            blocks = [(t, c, repr(summary["block_shares"][t])) for t, c in summary["block_counts"].items()]
+            out.write_csv("block_distribution.csv", _csv([("block_type", "count", "share"), *blocks]))
+            cliques = summary["clique_patterns"].items()
+            out.write_csv("clique_patterns.csv", _csv([("pattern", "count"), *cliques]))
+            edges = [(cls, repr(share)) for cls, share in summary["edge_class_presence_shares"].items()]
+            out.write_csv("edge_class_shares.csv", _csv([("edge_class", "share_of_interactive"), *edges]))
     print(f"summarized {summary['n_dashboards']} dashboard(s)")
     return EXIT_OK
 
 
-def _cmd_lint(args, out: _Outputs) -> int:
-    docs = _load_graph_docs(args.input)
-    findings = report.lint_corpus(docs)
-    lines = [json.dumps(f.to_dict(), sort_keys=True) for f in findings]
-    for line in lines:
-        print(line)
+def _cmd_lint(args) -> int:
+    findings = report.lint_corpus(_load_graph_docs(args.input))
+    text = _ndjson(f.to_dict() for f in findings)
+    print(text, end="")
     if args.out:
-        out.write_text(Path(args.out) / "findings.ndjson", "\n".join(lines) + ("\n" if lines else ""))
+        with _Outputs(args.out, fingerprint=None) as out:
+            out.write_text("findings.ndjson", text)
     if any(f.severity == "warning" for f in findings):
         return EXIT_FINDINGS
     return EXIT_OK
@@ -485,11 +485,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    out = _Outputs()
     try:
-        return args.func(args, out)
+        return args.func(args)
     except (DashmineError, OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
-        out.remove_all()
         error = {
             "error": type(exc).__name__,
             "message": str(exc),

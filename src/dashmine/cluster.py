@@ -106,11 +106,29 @@ class ClusterResult:
 
 
 def _as_matrix(matrix: Any) -> np.ndarray:
+    """``matrix`` as a 2-D float array whose every distance is finite.
+
+    NaN or infinite values raise :class:`NonFiniteInput`, and so do
+    finite values spread so far that a distance could overflow.  The
+    check is conservative.  Let s be the largest computed column span
+    (max - min) over the d columns.  Rounding is monotone, so every
+    difference the kernel computes within a column is at most s, every
+    squared term at most fl(s^2) and the sum of d terms, in any order, at
+    most d * s^2 * (1 + d * 2^-52) roughly.  Requiring s <= sqrt(max / 2d),
+    with max the largest double, leaves a factor of 2 for that rounding:
+    every distance stays below sqrt(max), about 1.3e154, and the sum of
+    fewer than 1e150 of them (a silhouette mean) stays finite too.
+    """
     X = np.asarray(matrix, dtype=float)
     if X.ndim == 1:
         X = X.reshape(-1, 1)
     if not np.isfinite(X).all():
         raise NonFiniteInput("matrix contains NaN or infinite values")
+    if X.size:
+        with np.errstate(over="ignore"):
+            span = X.max(axis=0) - X.min(axis=0)
+        if span.max() > np.sqrt(np.finfo(float).max / (2 * X.shape[1])):
+            raise NonFiniteInput("matrix values spread so far that a distance between rows could overflow")
     return X
 
 
@@ -214,7 +232,9 @@ def _core_distances_by_ring(rows: _UniqueRows, min_samples: int, k: int) -> np.n
     rings are measured in order of h, and only by the rows whose k-th
     candidate still exceeds the ring's bound, since no farther row can
     change a k-th value at or below it.  With no flag column there is
-    one pattern and no ring.
+    one pattern and no ring.  The ``np.inf`` that marks an empty
+    candidate slot is never a distance, because :func:`_as_matrix`
+    rejects every matrix whose distances could overflow.
     """
     U, counts = rows.values, rows.counts
     starts = np.searchsorted(rows.pattern, np.arange(rows.bound.shape[0] + 1))

@@ -239,7 +239,7 @@ def _parse_workbook_json(data: bytes) -> tuple[Dashboard, ...]:
         raise MalformedDocument(f"JSON syntax error: {exc.msg}", exc.lineno, exc.colno) from exc
     try:
         dashboard = dashboard_from_dict(obj)
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SchemaViolation(f"canonical dashboard document invalid: {exc}") from exc
     return (dashboard,)
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import csv
 import json
+import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -103,14 +105,44 @@ def test_report_stage_summary_equals_in_memory_summary(tmp_path):
     assert written == expected
 
 
+def _two_cluster_matrix(path: Path) -> None:
+    """Six rows in two far-apart groups, so clustering finds two clusters."""
+    width = len(default_manifest().names)
+    vectors = [
+        FeatureVector(f"d{k}", tuple(c + 0.1 * k + j for j in range(width)))
+        for k, c in enumerate([0.0, 0.0, 0.0, 50.0, 50.0, 50.0])
+    ]
+    path.write_text(matrix_to_csv(vectors, default_manifest()))
+
+
 def test_artifacts_embed_fingerprint(tmp_path):
-    artifacts = run_pipeline(tmp_path)
-    assert json.loads(artifacts["fig_a.graph.json"])["_fingerprint"]
-    assert json.loads(artifacts["summary.json"])["_fingerprint"]
-    assert artifacts["features.csv"].decode().startswith("# config_fingerprint=")
-    assert artifacts["labels.csv"].decode().startswith("# config_fingerprint=")
-    first_line = artifacts["dashboards.ndjson"].decode().splitlines()[0]
-    assert json.loads(first_line)["_fingerprint"]
+    artifacts = run_pipeline(tmp_path / "run")
+    matrix = tmp_path / "two.csv"
+    _two_cluster_matrix(matrix)
+    for flags in (["--min-cluster-size", "3"], ["--sweep", "2..3"]):
+        assert main(["cluster", "--input", str(matrix), *flags, "--out", str(tmp_path / "two")]) == 0
+    artifacts |= {p.name: p.read_bytes() for p in (tmp_path / "two").iterdir()}
+
+    fingerprint = re.compile(r"[0-9a-f]{12}")
+    json_docs = [name for name in artifacts if name.endswith(".json")]
+    assert {"scaler.json", "condensed_tree.json", "silhouette.json", "sweep.json"} <= set(json_docs)
+    assert {"fig_a.graph.json", "fig_a.analysis.json", "summary.json"} <= set(json_docs)
+    for name in json_docs:
+        assert fingerprint.fullmatch(json.loads(artifacts[name])["_fingerprint"]), name
+    csvs = [name for name in artifacts if name.endswith(".csv")]
+    assert len(csvs) == 6  # features, features_scaled, labels and the three report tables
+    for name in csvs:
+        first_line = artifacts[name].decode().splitlines()[0]
+        assert fingerprint.fullmatch(first_line.removeprefix("# config_fingerprint=")), name
+    for line in artifacts["dashboards.ndjson"].decode().splitlines():
+        assert fingerprint.fullmatch(json.loads(line)["_fingerprint"])
+
+    # lint's findings are the one artifact without a fingerprint
+    corpus = [build_graphs(load_fixture(f"fig_{x}")) for x in ("a", "b", "c")]
+    findings = [json.dumps(f.to_dict(), sort_keys=True) for f in report.lint_corpus(corpus)]
+    assert artifacts["findings.ndjson"].decode() == "\n".join(findings) + "\n"
+    assert "_fingerprint" not in artifacts["findings.ndjson"].decode()
+    assert set(artifacts) == set(json_docs) | set(csvs) | {"dashboards.ndjson", "findings.ndjson"}
 
 
 def test_lint_exit_codes(tmp_path, capsys):
@@ -415,7 +447,7 @@ def test_scale_rejects_a_scaler_that_cannot_be_applied(tmp_path, capsys, key, ed
         (lambda cells: cells[:-1], "ManifestMismatch", "has 18 values, header has 19"),
         (
             lambda cells: cells[:2] + ["abc"] + cells[3:],
-            "ValueError",
+            "SchemaViolation",
             "column 'has_chart' is not a number: 'abc'",
         ),
     ],
@@ -704,3 +736,137 @@ def test_analysis_artifact_contents(tmp_path):
     summary = json.loads(artifacts["summary.json"])
     assert summary["n_interactive"] == 2
     assert summary["n_dashboards"] == 3
+
+
+# JSON nested deeper than the decoder goes
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
+def _first_block_x(doc_text: str, literal: str) -> str:
+    """The dashboard document with its first block's x written as ``literal``."""
+    doc = json.loads(doc_text)
+    doc["blocks"][0]["x"] = "@x@"
+    return json.dumps(doc).replace('"@x@"', literal)
+
+
+def _line(text: str, number: int, edit) -> str:
+    lines = text.splitlines()
+    lines[number - 1] = edit(lines[number - 1])
+    return "\n".join(lines) + "\n"
+
+
+def _first_cell(text: str, cell: str) -> str:
+    """The feature CSV with its first row's first value replaced."""
+    lines = text.splitlines()
+    row = next(i for i, line in enumerate(lines) if line.startswith("fig_a,"))
+    lines[row] = ",".join(["fig_a", cell] + lines[row].split(",")[2:])
+    return "\n".join(lines) + "\n"
+
+
+def _short_mean(text: str) -> str:
+    doc = json.loads(text)
+    return json.dumps(doc | {"mean": doc["mean"][:-1]})
+
+
+PARSE = ["parse", "--input", "{i}/d1.json"]
+GRAPH = ["graph", "--input", "{i}/dashboards.ndjson"]
+SCALE = ["scale", "--input", "{i}/features.csv", "--scaler", "{i}/scaler.json"]
+# case: (argv, with {i} for the inputs directory; the file rewritten; its
+# new text from the old; the error type; the message's prefix)
+DECODE_FAILURES = {
+    "parse-deep": (PARSE, "d1.json", lambda _: DEEP, "SchemaViolation", "d1.json: "),
+    "parse-1e999-x": (
+        PARSE, "d1.json", lambda old: _first_block_x(old, "1e999"), "SchemaViolation", "d1.json: "
+    ),
+    "graph-deep": (
+        GRAPH,
+        "dashboards.ndjson",
+        lambda old: _line(old, 2, lambda _: DEEP),
+        "SchemaViolation",
+        "dashboards.ndjson:2: ",
+    ),
+    "graph-1e999-x": (
+        GRAPH,
+        "dashboards.ndjson",
+        lambda old: _line(old, 1, lambda line: _first_block_x(line, "1e999")),
+        "SchemaViolation",
+        "dashboards.ndjson:1: ",
+    ),
+    **{
+        f"{stage}-deep": (
+            [stage, "--input", "{i}"], "fig_a.graph.json", lambda _: DEEP, "SchemaViolation", "fig_a.graph.json: "
+        )
+        for stage in ("analyze", "features", "report", "lint")
+    },
+    "features-deep-manifest": (
+        ["features", "--input", "{i}", "--manifest", "{i}/manifest.json"],
+        "manifest.json",
+        lambda _: DEEP,
+        "SchemaViolation",
+        "manifest.json: ",
+    ),
+    "fit-scaler-cell": (
+        ["fit-scaler", "--input", "{i}/features.csv"],
+        "features.csv",
+        lambda old: _first_cell(old, "abc"),
+        "SchemaViolation",
+        "features.csv: ",
+    ),
+    "scale-cell": (SCALE, "features.csv", lambda old: _first_cell(old, "abc"), "SchemaViolation", "features.csv: "),
+    "scale-deep-scaler": (SCALE, "scaler.json", lambda _: DEEP, "SchemaViolation", "scaler.json: "),
+    "scale-short-mean": (SCALE, "scaler.json", _short_mean, "ManifestMismatch", "scaler.json: scaler mean "),
+    "cluster-cell": (
+        ["cluster", "--input", "{i}/features_scaled.csv", "--min-cluster-size", "2"],
+        "features_scaled.csv",
+        lambda old: _first_cell(old, "abc"),
+        "SchemaViolation",
+        "features_scaled.csv: ",
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def pipeline_inputs(tmp_path_factory) -> Path:
+    """Every stage's inputs, from the fixtures: a JSON and an XML document
+    (``d1.json``, ``d1.xml``), the pipeline's artifacts and the default
+    manifest."""
+    work = tmp_path_factory.mktemp("inputs")
+    run_pipeline(work)
+    for suffix in (".json", ".xml"):
+        shutil.copy(FIXTURES / f"fig_c{suffix}", work / f"d1{suffix}")
+    (work / "manifest.json").write_text(json.dumps(default_manifest().to_dict()))
+    return work
+
+
+@pytest.mark.parametrize("case", list(DECODE_FAILURES))
+def test_input_that_fails_to_decode_exits_2_naming_its_file(tmp_path, capsys, pipeline_inputs, case):
+    argv, name, edit, error_type, prefix = DECODE_FAILURES[case]
+    inputs = tmp_path / "inputs"
+    shutil.copytree(pipeline_inputs, inputs)
+    (inputs / name).write_text(edit((inputs / name).read_text()))
+    out = tmp_path / "out"
+    assert main([arg.replace("{i}", str(inputs)) for arg in argv] + ["--out", str(out)]) == 2
+    error = _only_error(capsys)
+    assert (error["error"], error["stage"]) == (error_type, argv[0])
+    assert error["message"].startswith(prefix)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", list(DECODE_FAILURES))
+def test_decode_failure_cases_run_on_the_unedited_inputs(tmp_path, pipeline_inputs, case):
+    # each case above differs from a working run in its one rewritten file
+    argv = [arg.replace("{i}", str(pipeline_inputs)) for arg in DECODE_FAILURES[case][0]]
+    assert main(argv + ["--out", str(tmp_path / "out")]) in ((0, 1) if argv[0] == "lint" else (0,))
+
+
+def test_cluster_rejects_finite_values_whose_distances_could_overflow(tmp_path, capsys, pipeline_inputs):
+    for value, code in (("1e308", 2), ("1e150", 0)):
+        matrix = tmp_path / f"{value}.csv"
+        matrix.write_text(_first_cell((pipeline_inputs / "features_scaled.csv").read_text(), value))
+        out = tmp_path / f"out-{value}"
+        assert main(["cluster", "--input", str(matrix), "--min-cluster-size", "2", "--out", str(out)]) == code
+        if code == 2:
+            error = _only_error(capsys)
+            assert (error["error"], error["stage"]) == ("NonFiniteInput", "cluster")
+            assert "overflow" in error["message"]
+            assert not out.exists()

@@ -403,6 +403,25 @@ def test_too_few_rows_and_non_finite_errors():
         hdbscan(bad, ClusterParams(min_cluster_size=5))
 
 
+def test_finite_values_whose_distances_could_overflow_are_rejected():
+    # 1e308 apart overflows the squared difference; the empty-candidate
+    # sentinel of the core-distance pass would then collide with it
+    X, truth = blob_matrix(7, [[0.0, 0.0], [20.0, 20.0]], per_blob=20)
+    far = X.copy()
+    far[0, 0] = 1e308
+    for call in (
+        lambda M: hdbscan(M, ClusterParams(min_cluster_size=5)),
+        lambda M: sweep_min_cluster_size(M, [5, 6]),
+        lambda M: silhouette(M, truth),
+    ):
+        with pytest.raises(NonFiniteInput, match="overflow"):
+            call(far)
+    # a spread well inside the bound still clusters
+    near = X.copy()
+    near[0, 0] = 1e150
+    hdbscan(near, ClusterParams(min_cluster_size=5))
+
+
 def test_cluster_params_validation():
     with pytest.raises(ValueError):
         ClusterParams(min_cluster_size=1)

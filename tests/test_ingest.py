@@ -40,6 +40,15 @@ def test_json_block_props_of_the_wrong_shape_is_a_schema_violation():
         parse_workbook(doc, format="json")
 
 
+@pytest.mark.parametrize("key", ["x", "w"])
+def test_json_block_coordinate_out_of_integer_range_is_a_schema_violation(key):
+    # 1e999 decodes to an infinite float, which int() cannot convert
+    coords = {"x": "0", "y": "0", "w": "5", "h": "5"} | {key: "1e999"}
+    block = ", ".join(['"id": "c"', '"type": "chart"'] + [f'"{k}": {v}' for k, v in coords.items()])
+    with pytest.raises(SchemaViolation, match="infinity"):
+        parse_workbook('{"id": "d", "blocks": [{%s}]}' % block, format="json")
+
+
 def test_minimal_xml_workbook():
     dashboards = parse_workbook(MINIMAL_XML, format="xml")
     assert len(dashboards) == 1
