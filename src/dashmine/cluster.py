@@ -23,6 +23,14 @@ Steps 1-4 depend on ``min_samples`` alone and build the hierarchy
 ``min_cluster_size`` (:func:`_select`), so a sweep over sizes shares one
 hierarchy per ``min_samples``.
 
+Steps 4-7 run over plain Python lists.  The dendrogram is a list of
+``(left, right, distance, size)`` tuples, and one selection visits each
+of its nodes at most once.  Condensation emits its rows in the order of
+a breadth-first walk of the whole dendrogram that skips the nodes below
+a shed side, with each shed side's points listed level by level.  That
+order is part of the contract: each stability is a floating-point sum
+over the rows in order, and selection compares those sums.
+
 Distances are exact, O(m^2) in the m unique rows: steps 1 and 3 and
 the silhouette measure each distinct row, not each row, and step 1 each
 unordered pair once when ``min_samples`` is small.  Determinism
@@ -50,6 +58,7 @@ index is used.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass
 from typing import Any, Sequence
 
@@ -304,7 +313,7 @@ def _measure_nearest(
     for r, x in enumerate(rows):
         D[r] = _row_distances(V, x)
     nearest = np.argpartition(D, near - 1, axis=1)[:, :near]
-    return np.take_along_axis(D, nearest, axis=1), nearest
+    return D[np.arange(rows.shape[0])[:, None], nearest], nearest
 
 
 def _keep_nearest(
@@ -315,10 +324,12 @@ def _keep_nearest(
     rows' candidates, keeping the k smallest with the k-th last."""
     k = cand_d.shape[1]
     d = np.concatenate([cand_d[rows], d], axis=1)
-    w = np.concatenate([cand_w[rows], np.broadcast_to(w, d[:, k:].shape)], axis=1)
-    keep = np.argpartition(d, k - 1, axis=1)[:, :k]
-    cand_d[rows] = np.take_along_axis(d, keep, axis=1)
-    cand_w[rows] = np.take_along_axis(w, keep, axis=1)
+    merged_w = np.empty(d.shape, dtype=cand_w.dtype)
+    merged_w[:, :k] = cand_w[rows]
+    merged_w[:, k:] = w
+    keep = (np.arange(rows.shape[0])[:, None], np.argpartition(d, k - 1, axis=1)[:, :k])
+    cand_d[rows] = d[keep]
+    cand_w[rows] = merged_w[keep]
 
 
 # Share of dead (already joined) entries in Prim's fresh-group arrays at
@@ -399,9 +410,10 @@ def _mutual_reachability_mst(rows: _UniqueRows, core: np.ndarray) -> np.ndarray:
             if n_fresh:
                 if prune:
                     bound = rows.bound[pattern_f[j]][pattern_f]
-                    lower = np.maximum(np.maximum(core_f, core_x), bound)
-                    near = np.flatnonzero(lower < best_w)
-                    reach = np.maximum(lower[near], _row_distances(values[near], values[j]))
+                    lower = np.maximum(core_f, bound)
+                    np.maximum(lower, core_x, out=lower)
+                    near = (lower < best_w).nonzero()[0]
+                    reach = np.maximum(lower[near], _row_distances(values.take(near, axis=0), values[j]))
                     lighter = reach < best_w[near]
                     closer = near[lighter]
                     best_w[closer] = reach[lighter]
@@ -417,7 +429,7 @@ def _mutual_reachability_mst(rows: _UniqueRows, core: np.ndarray) -> np.ndarray:
                     core_f, pattern_f = core_f[alive], pattern_f[alive]
                     best_w, best_src = best_w[alive], best_src[alive]
                     dead = 0
-                jf = int(np.argmin(best_w))
+                jf = int(best_w.argmin())
         else:
             c, x, g, source = heapq.heappop(waiting)
             edges[k - 1] = (source, x, c)
@@ -433,14 +445,13 @@ def _mutual_reachability_mst(rows: _UniqueRows, core: np.ndarray) -> np.ndarray:
     return edges
 
 
-def _single_linkage(mst_edges: np.ndarray) -> np.ndarray:
+def _single_linkage(mst_edges: np.ndarray) -> list[tuple[int, int, float, int]]:
     """Union-find dendrogram: rows (left, right, distance, size), cluster
     ids n..2n-2 assigned in merge order."""
-    order = np.argsort(mst_edges[:, 2], kind="stable")
-    edges = mst_edges[order]
-    n = edges.shape[0] + 1
-    parent = np.arange(2 * n - 1, dtype=np.intp)
-    size = np.ones(2 * n - 1, dtype=np.intp)
+    edges = mst_edges[np.argsort(mst_edges[:, 2], kind="stable")].tolist()
+    n = len(edges) + 1
+    parent = list(range(2 * n - 1))
+    size = [1] * n
 
     def find(x: int) -> int:
         root = x
@@ -450,78 +461,57 @@ def _single_linkage(mst_edges: np.ndarray) -> np.ndarray:
             parent[x], x = root, parent[x]
         return root
 
-    Z = np.empty((n - 1, 4))
-    for i in range(n - 1):
-        ra = find(int(edges[i, 0]))
-        rb = find(int(edges[i, 1]))
-        new = n + i
-        Z[i] = (ra, rb, edges[i, 2], size[ra] + size[rb])
+    Z = []
+    for new, (a, b, dist) in enumerate(edges, start=n):
+        ra, rb = find(int(a)), find(int(b))
+        merged = size[ra] + size[rb]
+        Z.append((ra, rb, dist, merged))
         parent[ra] = parent[rb] = new
-        size[new] = size[ra] + size[rb]
+        size.append(merged)
     return Z
 
 
-def _bfs_nodes(Z: np.ndarray, start: int) -> list[int]:
-    n = Z.shape[0] + 1
-    result = []
-    frontier = [start]
-    while frontier:
-        result.extend(frontier)
-        frontier = [
-            int(child)
-            for node in frontier
-            if node >= n
-            for child in Z[node - n, 0:2]
-        ]
-    return result
-
-
-def _condense(Z: np.ndarray, min_cluster_size: int) -> list[tuple[int, int, float, int]]:
+def _condense(
+    Z: Sequence[tuple[int, int, float, int]], min_cluster_size: int
+) -> list[tuple[int, int, float, int]]:
     """Collapse the dendrogram into clusters of >= min_cluster_size.
 
     Walking from the root, a split where both sides are big creates two
     new cluster ids; a split where one side is small sheds that side's
     points at the split's lambda (1/distance) while the big side keeps
     the current cluster id.  The root is relabeled n.
-    """
-    n = Z.shape[0] + 1
-    root = 2 * n - 2
-    relabel = np.empty(2 * n - 1, dtype=np.intp)
-    relabel[root] = n
-    next_label = n + 1
-    ignore = np.zeros(2 * n - 1, dtype=bool)
-    rows: list[tuple[int, int, float, int]] = []
 
-    for node in _bfs_nodes(Z, root):
-        if node < n or ignore[node]:
-            continue
-        left, right = int(Z[node - n, 0]), int(Z[node - n, 1])
-        dist = Z[node - n, 2]
+    Kept nodes go through a FIFO queue and each shed side is listed
+    breadth-first, once, which gives the row order the module docstring
+    requires.
+    """
+    n = len(Z) + 1
+    next_label = n + 1
+    rows: list[tuple[int, int, float, int]] = []
+    queue = deque([(2 * n - 2, n)])  # (dendrogram node, its cluster id)
+    while queue:
+        node, label = queue.popleft()
+        left, right, dist, _ = Z[node - n]
         lam = 1.0 / dist if dist > 0.0 else np.inf
-        left_size = int(Z[left - n, 3]) if left >= n else 1
-        right_size = int(Z[right - n, 3]) if right >= n else 1
-        label = int(relabel[node])
+        left_size = Z[left - n][3] if left >= n else 1
+        right_size = Z[right - n][3] if right >= n else 1
 
         if left_size >= min_cluster_size and right_size >= min_cluster_size:
             for child, child_size in ((left, left_size), (right, right_size)):
-                relabel[child] = next_label
                 rows.append((label, next_label, lam, child_size))
+                queue.append((child, next_label))
                 next_label += 1
-        else:
-            shed = []
-            if left_size < min_cluster_size:
-                shed.append(left)
-            else:
-                relabel[left] = label
-            if right_size < min_cluster_size:
-                shed.append(right)
-            else:
-                relabel[right] = label
-            for side in shed:
-                for sub in _bfs_nodes(Z, side):
-                    ignore[sub] = True
-                    if sub < n:
-                        rows.append((label, sub, lam, 1))
+            continue
+        for side, side_size in ((left, left_size), (right, right_size)):
+            if side_size >= min_cluster_size:
+                queue.append((side, label))
+                continue
+            shed = [side]
+            for sub in shed:  # grows as it goes: breadth-first, level by level
+                if sub < n:
+                    rows.append((label, sub, lam, 1))
+                else:
+                    shed += Z[sub - n][:2]
     return rows
 
 
@@ -583,17 +573,22 @@ def _assign_labels(
     selected: set[int],
     n: int,
 ) -> tuple[np.ndarray, dict[int, int]]:
-    parent_of = {child: parent for parent, child, _, _ in rows}
+    """Label each point by the nearest selected cluster above it, or noise.
+
+    A cluster's row precedes every row below it, since cluster ids grow
+    root-first, so one pass resolves each cluster's nearest selected
+    ancestor (itself included) before any row that needs it.
+    """
     label_of_cluster = {cid: label for label, cid in enumerate(sorted(selected))}
-    labels = np.full(n, NOISE, dtype=int)
-    for point in range(n):
-        node = parent_of.get(point)
-        while node is not None and node not in selected:
-            node = parent_of.get(node)
-        if node is not None:
-            labels[point] = label_of_cluster[node]
+    owner = {n: label_of_cluster.get(n, NOISE)}
+    labels = [NOISE] * n
+    for parent, child, _, _ in rows:
+        if child < n:
+            labels[child] = owner[parent]
+        else:
+            owner[child] = label_of_cluster.get(child, owner[parent])
     cluster_ids = {label: cid for cid, label in label_of_cluster.items()}
-    return labels, cluster_ids
+    return np.array(labels, dtype=int), cluster_ids
 
 
 def _check_rows(n: int, params: ClusterParams) -> None:
@@ -603,15 +598,15 @@ def _check_rows(n: int, params: ClusterParams) -> None:
         raise TooFewRows(f"{n} rows < min_samples={params.effective_min_samples}")
 
 
-def _hierarchy(rows: _UniqueRows, min_samples: int) -> np.ndarray:
+def _hierarchy(rows: _UniqueRows, min_samples: int) -> list[tuple[int, int, float, int]]:
     """Steps 1-4: the single-linkage dendrogram of mutual reachability."""
     core = _core_distances(rows, min_samples)
     return _single_linkage(_mutual_reachability_mst(rows, core))
 
 
-def _select(Z: np.ndarray, min_cluster_size: int) -> ClusterResult:
+def _select(Z: Sequence[tuple[int, int, float, int]], min_cluster_size: int) -> ClusterResult:
     """Steps 5-7: condense ``Z`` at ``min_cluster_size`` and label."""
-    n = Z.shape[0] + 1
+    n = len(Z) + 1
     rows = _condense(Z, min_cluster_size)
     stability = _compute_stability(rows, n)
     selected = _select_eom(rows, stability, n)
@@ -750,7 +745,7 @@ def sweep_min_cluster_size(
     """
     X = _as_matrix(matrix)
     rows = _unique_rows(X)
-    hierarchies: dict[int, np.ndarray] = {}
+    hierarchies: dict[int, list[tuple[int, int, float, int]]] = {}
     results = []
     for size in sizes:
         params = ClusterParams(min_cluster_size=size, min_samples=min_samples)

@@ -249,7 +249,12 @@ def fit_scaler(
 
 
 def apply_scaler(scaler: Scaler, vector: FeatureVector) -> FeatureVector:
-    """Scale count columns to (x - mean) / std; flags pass through."""
+    """Scale count columns to (x - mean) / std; flags pass through.
+
+    A result that is not finite, such as a finite value near 1e308 whose
+    difference or quotient overflows, raises :class:`NonFiniteInput`
+    naming the row and column.
+    """
     if len(vector.values) != len(scaler.manifest.names):
         raise ManifestMismatch(
             f"vector for {vector.dashboard_id} does not match the scaler manifest"
@@ -259,6 +264,11 @@ def apply_scaler(scaler: Scaler, vector: FeatureVector) -> FeatureVector:
         x if flag else (x - mu) / sigma
         for x, mu, sigma, flag in zip(vector.values, scaler.mean, scaler.std, flags)
     )
+    if not all(map(math.isfinite, values)):
+        column = next(name for name, y in zip(scaler.manifest.names, values) if not math.isfinite(y))
+        raise NonFiniteInput(
+            f"scaled row {vector.dashboard_id!r}, column {column!r} is not a finite number"
+        )
     return FeatureVector(dashboard_id=vector.dashboard_id, values=values)
 
 

@@ -6,9 +6,10 @@ exhaustive subset enumeration instead of Bron-Kerbosch, Floyd-Warshall
 instead of BFS, plain loops instead of vectorized silhouette, and a
 pure-Python Prim scan for MST weights.  The golden copies at the end are
 the exception: frozen earlier versions of two clusterer loops, of the
-per-dashboard structural statistics, of the degeneracy-ordered clique
-enumeration, of the two-step action-to-edge path and of the corpus
-summary and lint records, kept for bit-for-bit comparison.
+clusterer's linkage, condensation and selection, of the per-dashboard
+structural statistics, of the degeneracy-ordered clique enumeration, of
+the two-step action-to-edge path and of the corpus summary and lint
+records, kept for bit-for-bit comparison.
 """
 
 from __future__ import annotations
@@ -266,6 +267,147 @@ def golden_silhouette(X: np.ndarray, labels) -> tuple[dict[int, float], float]:
     per_cluster = {c: float(scores[members[c]].mean()) for c in cluster_labels}
     pooled = np.concatenate([members[c] for c in cluster_labels])
     return per_cluster, float(scores[pooled].mean())
+
+
+# --- golden copies: the clusterer's steps 4-7 over NumPy arrays ---------------
+#
+# Frozen copies of ``cluster._single_linkage``, ``_bfs_nodes``,
+# ``_condense``, ``_compute_stability``, ``_select_eom`` and
+# ``_assign_labels`` as they were when the dendrogram was an (n-1, 4)
+# array, every shed side was walked by a second breadth-first search and
+# each point's label came from a walk up its ancestors.  The list-based
+# steps must give the same dendrogram rows, the same condensed rows in
+# the same order (the stability sums depend on it), the same stabilities
+# to the bit and the same selection and labels.
+
+
+def golden_single_linkage(mst_edges: np.ndarray) -> np.ndarray:
+    order = np.argsort(mst_edges[:, 2], kind="stable")
+    edges = mst_edges[order]
+    n = edges.shape[0] + 1
+    parent = np.arange(2 * n - 1, dtype=np.intp)
+    size = np.ones(2 * n - 1, dtype=np.intp)
+
+    def find(x: int) -> int:
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:
+            parent[x], x = root, parent[x]
+        return root
+
+    Z = np.empty((n - 1, 4))
+    for i in range(n - 1):
+        ra = find(int(edges[i, 0]))
+        rb = find(int(edges[i, 1]))
+        new = n + i
+        Z[i] = (ra, rb, edges[i, 2], size[ra] + size[rb])
+        parent[ra] = parent[rb] = new
+        size[new] = size[ra] + size[rb]
+    return Z
+
+
+def _golden_bfs_nodes(Z: np.ndarray, start: int) -> list[int]:
+    n = Z.shape[0] + 1
+    result = []
+    frontier = [start]
+    while frontier:
+        result.extend(frontier)
+        frontier = [int(child) for node in frontier if node >= n for child in Z[node - n, 0:2]]
+    return result
+
+
+def golden_condense(Z: np.ndarray, min_cluster_size: int) -> list[tuple[int, int, float, int]]:
+    n = Z.shape[0] + 1
+    root = 2 * n - 2
+    relabel = np.empty(2 * n - 1, dtype=np.intp)
+    relabel[root] = n
+    next_label = n + 1
+    ignore = np.zeros(2 * n - 1, dtype=bool)
+    rows: list[tuple[int, int, float, int]] = []
+
+    for node in _golden_bfs_nodes(Z, root):
+        if node < n or ignore[node]:
+            continue
+        left, right = int(Z[node - n, 0]), int(Z[node - n, 1])
+        dist = Z[node - n, 2]
+        lam = 1.0 / dist if dist > 0.0 else np.inf
+        left_size = int(Z[left - n, 3]) if left >= n else 1
+        right_size = int(Z[right - n, 3]) if right >= n else 1
+        label = int(relabel[node])
+
+        if left_size >= min_cluster_size and right_size >= min_cluster_size:
+            for child, child_size in ((left, left_size), (right, right_size)):
+                relabel[child] = next_label
+                rows.append((label, next_label, lam, child_size))
+                next_label += 1
+        else:
+            shed = []
+            if left_size < min_cluster_size:
+                shed.append(left)
+            else:
+                relabel[left] = label
+            if right_size < min_cluster_size:
+                shed.append(right)
+            else:
+                relabel[right] = label
+            for side in shed:
+                for sub in _golden_bfs_nodes(Z, side):
+                    ignore[sub] = True
+                    if sub < n:
+                        rows.append((label, sub, lam, 1))
+    return rows
+
+
+def golden_compute_stability(rows, n: int) -> dict[int, float]:
+    birth: dict[int, float] = {n: 0.0}
+    for _, child, lam, _ in rows:
+        if child >= n:
+            birth[child] = lam
+    stability: dict[int, float] = {}
+    for parent, _, lam, size in rows:
+        stability[parent] = stability.get(parent, 0.0) + (lam - birth[parent]) * size
+    return stability
+
+
+def golden_select_eom(rows, stability: dict[int, float], n: int) -> set[int]:
+    children_of: dict[int, list[int]] = {}
+    for parent, child, _, _ in rows:
+        if child >= n:
+            children_of.setdefault(parent, []).append(child)
+
+    candidates = sorted((c for c in stability if c != n), reverse=True)
+    selected = {c: True for c in candidates}
+    running = dict(stability)
+    for node in candidates:
+        combined = sum(running[c] for c in children_of.get(node, ()))
+        if combined > running[node]:
+            selected[node] = False
+            running[node] = combined
+        else:
+            frontier = list(children_of.get(node, ()))
+            while frontier:
+                child = frontier.pop()
+                selected[child] = False
+                frontier.extend(children_of.get(child, ()))
+    chosen = {c for c, keep in selected.items() if keep}
+    if not chosen:
+        chosen = {n}
+    return chosen
+
+
+def golden_assign_labels(rows, selected: set[int], n: int) -> tuple[np.ndarray, dict[int, int]]:
+    parent_of = {child: parent for parent, child, _, _ in rows}
+    label_of_cluster = {cid: label for label, cid in enumerate(sorted(selected))}
+    labels = np.full(n, -1, dtype=int)
+    for point in range(n):
+        node = parent_of.get(point)
+        while node is not None and node not in selected:
+            node = parent_of.get(node)
+        if node is not None:
+            labels[point] = label_of_cluster[node]
+    cluster_ids = {label: cid for cid, label in label_of_cluster.items()}
+    return labels, cluster_ids
 
 
 # Frozen copies of ``analysis.adjacency_stats``,

@@ -494,6 +494,30 @@ def test_fit_scaler_and_scale_reject_non_finite_features(tmp_path, capsys):
         assert not out.exists()
 
 
+def test_scale_rejects_a_value_whose_scaled_form_overflows(tmp_path, capsys):
+    work = _fixture_graphs(tmp_path)
+    assert main(["features", "--input", str(work), "--out", str(work)]) == 0
+    assert main(["fit-scaler", "--input", str(work / "features.csv"), "--out", str(work)]) == 0
+    lines = (work / "features.csv").read_text().splitlines()
+    header = next(line for line in lines if not line.startswith("#")).split(",")
+    column = header.index("adj_mean_shortest_path")
+    bad = []
+    for line in lines:
+        cells = line.split(",")
+        if cells[0] == "fig_a":
+            cells[column] = "1e308"
+        bad.append(",".join(cells))
+    assert bad != lines
+    (tmp_path / "bad.csv").write_text("\n".join(bad) + "\n")
+    out = tmp_path / "out"
+    argv = ["scale", "--input", str(tmp_path / "bad.csv"), "--scaler", str(work / "scaler.json")]
+    assert main(argv + ["--out", str(out)]) == 2
+    error = _only_error(capsys)
+    assert (error["error"], error["stage"]) == ("NonFiniteInput", "scale")
+    assert "'fig_a'" in error["message"] and "'adj_mean_shortest_path'" in error["message"]
+    assert not out.exists()
+
+
 def test_fit_scaler_rejects_a_column_whose_spread_overflows(tmp_path, capsys):
     width = len(default_manifest().names)
     vectors = [

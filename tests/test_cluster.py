@@ -26,9 +26,14 @@ from dashmine.geometry import build_graphs
 from conftest import blob_matrix, canonical_partition, random_dashboard
 from oracles import (
     brute_silhouette,
+    golden_assign_labels,
+    golden_compute_stability,
+    golden_condense,
     golden_core_distances,
     golden_mutual_reachability_mst,
+    golden_select_eom,
     golden_silhouette,
+    golden_single_linkage,
     mutual_reachability_matrix,
     prim_mst_weights,
 )
@@ -316,6 +321,64 @@ def test_flag_patterns_come_from_the_matrix():
     bound = _unique_rows(matrices["all_flags"]).bound
     assert np.array_equal(bound, bound.T) and (np.diag(bound) == 0).all()
     assert set(np.unique(bound)) <= {math.sqrt(h) for h in range(9)}
+
+
+def _dendrogram_rows(Z) -> list[tuple[int, int, str, int]]:
+    """Dendrogram rows, from an array or a list, as (left, right,
+    distance in hex, size)."""
+    return [(int(left), int(right), float(d).hex(), int(size)) for left, right, d, size in Z]
+
+
+def _condensed_rows(rows) -> list[tuple[int, int, str, int]]:
+    return [(int(p), int(c), float(lam).hex(), int(size)) for p, c, lam, size in rows]
+
+
+def _hex_values(values: dict) -> dict[int, str]:
+    return {int(key): float(value).hex() for key, value in values.items()}
+
+
+def _assert_steps_4_to_7_are_golden(X: np.ndarray, min_samples: int, sizes) -> None:
+    rows = _unique_rows(X)
+    mst = _mutual_reachability_mst(rows, _core_distances(rows, min_samples))
+    Z, golden_Z = cluster._single_linkage(mst), golden_single_linkage(mst)
+    n = X.shape[0]
+    assert _dendrogram_rows(Z) == _dendrogram_rows(golden_Z), (n, min_samples)
+    for size in sizes:
+        got = cluster._select(Z, size)
+        condensed = golden_condense(golden_Z, size)
+        stability = golden_compute_stability(condensed, n)
+        selected = golden_select_eom(condensed, stability, n)
+        labels, cluster_ids = golden_assign_labels(condensed, selected, n)
+        where = (n, min_samples, size)
+        assert _condensed_rows(got.condensed_tree) == _condensed_rows(condensed), where
+        assert _hex_values(cluster._compute_stability(got.condensed_tree, n)) == _hex_values(
+            stability
+        ), where
+        assert got.selected == tuple(sorted(selected)), where
+        assert got.cluster_ids == cluster_ids, where
+        assert got.labels.dtype == labels.dtype and np.array_equal(got.labels, labels), where
+        assert _hex_values(got.stabilities) == _hex_values(
+            {label: stability[cid] for label, cid in cluster_ids.items()}
+        ), where
+
+
+def test_linkage_condensation_and_selection_are_bit_identical_to_golden():
+    rng = np.random.default_rng(53)
+    matrices = [_tie_heavy_matrix(rng, n) for n in (2, 3, 5, 17, 64, 300)]
+    shapes = ((12, 3), (40, 6), (200, 30), (600, 60))
+    duplicates = [_duplicate_heavy_matrix(rng, n, d) for n, d in shapes]
+    matrices += duplicates
+    matrices += list(_flag_matrices().values())
+    pipeline = _flag_matrices()["pipeline"]
+    matrices += [pipeline[:n] for n in (4, 37, 150)]
+    matrices.append(np.full((30, 4), 0.5))  # every row identical: the root fallback
+    for X in matrices:
+        n = X.shape[0]
+        for min_samples in sorted({1, min(5, n)}):
+            _assert_steps_4_to_7_are_golden(X, min_samples, sorted({2, max(2, n // 2), n}))
+    # The benchmark's sweep: sizes 20..140:20 at min_samples 20.
+    for X in (pipeline, duplicates[-1]):
+        _assert_steps_4_to_7_are_golden(X, 20, range(20, 141, 20))
 
 
 def test_sweep_rows_equal_hdbscan_run_alone():

@@ -190,6 +190,24 @@ def test_fit_scaler_rejects_moments_that_overflow(column):
     assert "'n_blocks'" in str(info.value)
 
 
+@pytest.mark.parametrize(
+    "mean, std, value",
+    [
+        ((0.0, 0.0), (1.0, 0.5), 1e308),
+        ((0.0, -1e308), (1.0, 1.0), 1e308),
+        ((0.0, 0.0), (1.0, 1.0), float("nan")),
+    ],
+    ids=["quotient-overflows", "difference-overflows", "nan-cell"],
+)
+def test_apply_scaler_rejects_a_result_that_is_not_finite_naming_row_and_column(mean, std, value):
+    scaler = Scaler(manifest=_manifest2(), mean=mean, std=std, constant=(False, False))
+    with pytest.raises(NonFiniteInput) as info:
+        apply_scaler(scaler, _vec("d7", [3.0, value]))
+    assert "'d7'" in str(info.value) and "'adj_n_edges'" in str(info.value)
+    # a finite result is unchanged
+    assert apply_scaler(scaler, _vec("d7", [3.0, 1e300])).values[1] == (1e300 - mean[1]) / std[1]
+
+
 def test_manifest_mismatch_detected():
     scaler = fit_scaler([_vec("a", [2, 0]), _vec("b", [4, 1])], _manifest2())
     with pytest.raises(ManifestMismatch):
