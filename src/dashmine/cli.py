@@ -27,7 +27,9 @@ and ``cluster`` rejects values spread so far that a distance could
 overflow (``NonFiniteInput``).  The defaults of ``--out``, ``--format``,
 ``--min-charts``, ``--tolerance`` and ``--min-cluster-size`` can be
 overridden with a ``DASHMINE_<OPTION>`` environment variable (e.g.
-``DASHMINE_TOLERANCE``).
+``DASHMINE_TOLERANCE``); every command reads them all, so an integer
+override that is not an integer fails any command, with exit 2 and
+``"stage": null``.
 """
 
 from __future__ import annotations
@@ -53,10 +55,14 @@ EXIT_ERROR = 2
 
 
 def _env_default(option: str, fallback, cast: Callable = str):
-    raw = os.environ.get(f"DASHMINE_{option.upper()}")
+    name = f"DASHMINE_{option.upper()}"
+    raw = os.environ.get(name)
     if raw is None:
         return fallback
-    return cast(raw)
+    try:
+        return cast(raw)
+    except ValueError:
+        raise ValueError(f"environment variable {name}: invalid {cast.__name__} value: {raw!r}") from None
 
 
 def _fingerprint(config: dict[str, Any]) -> str:
@@ -483,15 +489,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    stage = None
     try:
+        # build_parser reads the DASHMINE_* overrides, so a malformed one
+        # fails here, before any stage starts ("stage": null).
+        args = build_parser().parse_args(argv)
+        stage = args.command
         return args.func(args)
     except (DashmineError, OSError, ValueError, KeyError, TypeError, AttributeError) as exc:
         error = {
             "error": type(exc).__name__,
             "message": str(exc),
-            "stage": args.command,
+            "stage": stage,
         }
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return EXIT_ERROR

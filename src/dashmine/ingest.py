@@ -8,40 +8,28 @@ Two input formats are supported:
 * the canonical per-dashboard JSON interchange format defined in
   :mod:`dashmine.model`.
 
-:func:`parse_workbook` returns the document's dashboards.  Each ``<zone>``
-maps straight to a block; datasources are checked but not kept.  Actions
-stay raw records: :func:`dashmine.geometry.build_interaction_graph` alone
-turns them into interaction edges.
+:func:`parse_workbook` returns the document's dashboards, all decoded by
+:func:`dashmine.model.dashboard_from_dict`: each XML ``<dashboard>`` is
+mapped to its canonical document first (``<zone>`` to block, with a
+chart's ``vis_type`` inferred from its worksheet; ``<action>`` to
+interaction), so every field rule lives in :mod:`dashmine.model` and
+fails alike in both formats.  Datasources are checked but not kept.
 
-Parsing is strict by default: unknown zone kinds and dangling references
-raise :class:`~dashmine.errors.SchemaViolation`.  Lenient mode downgrades
-unknown zone kinds to multimedia blocks so heterogeneous corpora survive
-ingestion.
+Only the XML rules stay here: required and integer attributes, worksheet
+references and zone kinds.  An unknown zone kind raises
+:class:`~dashmine.errors.SchemaViolation`; lenient mode downgrades it,
+and nothing else, to a multimedia block of kind ``other``.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import IO, Iterable, Mapping
+from typing import IO, Any, Iterable, Mapping
 from xml.etree import ElementTree as ET
 
 from .errors import MalformedDocument, SchemaViolation
-from .model import (
-    ActionRecord,
-    Block,
-    BlockType,
-    ChartProps,
-    Dashboard,
-    FilterProps,
-    LegendProps,
-    MultimediaKind,
-    MultimediaProps,
-    TextProps,
-    WidgetType,
-    dashboard_from_dict,
-    infer_vis_type,
-)
+from .model import BlockType, Dashboard, dashboard_from_dict, infer_vis_type
 
 ENCODING_CHANNELS = ("row", "column", "color", "size", "label", "detail", "geo")
 
@@ -55,9 +43,14 @@ class Worksheet:
     encodings: tuple[tuple[str, str], ...] = ()
 
 
-# Zone kinds accepted by the XML subset.  Hyphenated legend kinds such as
+# Media zone kinds besides "multimedia".  Hyphenated legend kinds such as
 # "color-legend" carry the channel in the prefix.
-_MEDIA_ZONE_KINDS = {"image": MultimediaKind.IMAGE, "webpage": MultimediaKind.WEBPAGE}
+_MEDIA_ZONE_KINDS = ("image", "webpage")
+
+
+def _props(element: ET.Element, *names: str) -> dict[str, str]:
+    """The named attributes that are set; an absent or empty one takes the model's default."""
+    return {name: value for name in names if (value := element.get(name))}
 
 
 def _block_from_zone(
@@ -65,12 +58,12 @@ def _block_from_zone(
     worksheets: Mapping[str, Worksheet],
     path: str,
     strict: bool,
-) -> Block:
-    """Map one ``<zone>`` element to a block; an unknown kind fails only in strict mode."""
+) -> dict[str, Any]:
+    """Map one ``<zone>`` element to a block document; an unknown kind fails only in strict mode."""
     # This order fixes which missing attribute a faulty zone reports.
-    zone_id = _require(element, "id", path)
+    block: dict[str, Any] = {"id": _require(element, "id", path)}
     kind = _require(element, "type", path)
-    x, y, w, h = (_int_attr(element, attr, path) for attr in ("x", "y", "w", "h"))
+    block.update((attr, _int_attr(element, attr, path)) for attr in ("x", "y", "w", "h"))
     if kind == "chart":
         worksheet_name = element.get("worksheet")
         if not worksheet_name:
@@ -78,43 +71,28 @@ def _block_from_zone(
         worksheet = worksheets.get(worksheet_name)
         if worksheet is None:
             raise SchemaViolation(f"unknown worksheet: {worksheet_name}", path)
-        props = ChartProps(
-            vis_type=infer_vis_type(worksheet.marks, worksheet.encodings),
-            marks=worksheet.marks,
-            encodings=worksheet.encodings,
-        )
-        block_type = BlockType.CHART
+        block_type, props = "chart", {
+            "vis_type": infer_vis_type(worksheet.marks, worksheet.encodings),
+            "marks": worksheet.marks,
+            "encodings": worksheet.encodings,
+        }
     elif kind == "text":
-        props = TextProps(content=(element.text or "").strip())
-        block_type = BlockType.TEXT
+        block_type, props = "text", {"content": (element.text or "").strip()}
     elif kind == "filter":
-        widget = element.get("widget") or "other"
-        try:
-            widget_type = WidgetType(widget)
-        except ValueError:
-            widget_type = WidgetType.OTHER
-        props = FilterProps(widget=widget_type, field=element.get("field") or "")
-        block_type = BlockType.FILTER
+        block_type, props = "filter", _props(element, "widget", "field")
     elif kind == "legend" or kind.endswith("-legend"):
-        channel = element.get("channel") or (kind[: -len("-legend")] if kind.endswith("-legend") else "color")
-        props = LegendProps(channel=channel)
-        block_type = BlockType.LEGEND
+        block_type, props = "legend", _props(element, "channel")
+        if kind != "legend":
+            props.setdefault("channel", kind[: -len("-legend")])
     elif kind in _MEDIA_ZONE_KINDS:
-        props = MultimediaProps(kind=_MEDIA_ZONE_KINDS[kind])
-        block_type = BlockType.MULTIMEDIA
+        block_type, props = "multimedia", {"kind": kind}
     elif kind == "multimedia":
-        try:
-            media = MultimediaKind(element.get("kind") or "image")
-        except ValueError:
-            media = MultimediaKind.OTHER
-        props = MultimediaProps(kind=media)
-        block_type = BlockType.MULTIMEDIA
+        block_type, props = "multimedia", _props(element, "kind")
     elif strict:
         raise SchemaViolation(f"unknown zone kind: {kind!r}", path)
     else:
-        props = MultimediaProps(kind=MultimediaKind.OTHER)
-        block_type = BlockType.MULTIMEDIA
-    return Block(id=zone_id, block_type=block_type, x=x, y=y, w=w, h=h, props=props)
+        block_type, props = "multimedia", {"kind": "other"}
+    return block | {"type": block_type, "props": props}
 
 
 def filter_corpus(dashboards: Iterable[Dashboard], min_charts: int = 2) -> list[Dashboard]:
@@ -126,6 +104,14 @@ def filter_corpus(dashboards: Iterable[Dashboard], min_charts: int = 2) -> list[
         for d in dashboards
         if sum(1 for b in d.blocks if b.block_type is BlockType.CHART) >= min_charts
     ]
+
+
+def _decode(doc: Any, path: str | None = None) -> Dashboard:
+    """The one decoder of both formats; a bad field is a :class:`SchemaViolation` at ``path``."""
+    try:
+        return dashboard_from_dict(doc)
+    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaViolation(f"canonical dashboard document invalid: {exc}", path) from exc
 
 
 # --- XML subset -------------------------------------------------------------
@@ -167,39 +153,17 @@ def _parse_dashboard_xml(
     path: str,
     strict: bool,
 ) -> Dashboard:
-    dash_id = _require(element, "id", path)
-    blocks = []
-    ids: set[str] = set()
-    for i, zone in enumerate(element.findall("zone")):
-        zpath = f"{path}/zone[{i}]"
-        block = _block_from_zone(zone, worksheets, zpath, strict)
-        if block.id in ids:
-            raise SchemaViolation(f"duplicate zone id: {block.id}", zpath)
-        ids.add(block.id)
-        blocks.append(block)
-    actions = []
-    for i, a in enumerate(element.findall("action")):
-        apath = f"{path}/action[{i}]"
-        record = ActionRecord(
-            source=_require(a, "source", apath),
-            target=_require(a, "target", apath),
-            action_type=_require(a, "type", apath),
-        )
-        for endpoint in (record.source, record.target):
-            if endpoint not in ids:
-                raise SchemaViolation(f"action references unknown zone: {endpoint}", apath)
-        actions.append(record)
-    width, height = (
-        _int_attr(element, attr, path) if attr in element.attrib else None
-        for attr in ("width", "height")
-    )
-    return Dashboard(
-        id=dash_id,
-        blocks=tuple(blocks),
-        declared_interactions=tuple(actions),
-        width=width,
-        height=height,
-    )
+    doc: dict[str, Any] = {"id": _require(element, "id", path)}
+    doc["blocks"] = [
+        _block_from_zone(zone, worksheets, f"{path}/zone[{i}]", strict)
+        for i, zone in enumerate(element.findall("zone"))
+    ]
+    doc["interactions"] = [
+        {key: _require(a, key, f"{path}/action[{i}]") for key in ("source", "target", "type")}
+        for i, a in enumerate(element.findall("action"))
+    ]
+    doc.update((attr, _int_attr(element, attr, path)) for attr in ("width", "height") if attr in element.attrib)
+    return _decode(doc, path)
 
 
 def _parse_workbook_xml(data: bytes, strict: bool) -> tuple[Dashboard, ...]:
@@ -237,11 +201,9 @@ def _parse_workbook_json(data: bytes) -> tuple[Dashboard, ...]:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"JSON syntax error: {exc.msg}", exc.lineno, exc.colno) from exc
-    try:
-        dashboard = dashboard_from_dict(obj)
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaViolation(f"canonical dashboard document invalid: {exc}") from exc
-    return (dashboard,)
+    except RecursionError:
+        raise SchemaViolation("JSON nested deeper than the decoder goes") from None
+    return (_decode(obj),)
 
 
 def parse_workbook(document: bytes | str | IO[bytes], format: str = "xml", strict: bool = True) -> tuple[Dashboard, ...]:
@@ -251,10 +213,7 @@ def parse_workbook(document: bytes | str | IO[bytes], format: str = "xml", stric
     or ``"json"`` for a single canonical dashboard document (one
     dashboard).  Identical bytes always yield identical dashboards.
     """
-    if hasattr(document, "read"):
-        data = document.read()
-    else:
-        data = document
+    data = document.read() if hasattr(document, "read") else document
     if isinstance(data, str):
         data = data.encode("utf-8")
     if format == "xml":

@@ -46,7 +46,8 @@ class WidgetType(str, Enum):
 
 
 class MultimediaKind(str, Enum):
-    # "other" is produced only by lenient ingestion of unknown zone kinds.
+    # Besides a document that declares it, only lenient ingestion of an
+    # unknown zone kind produces "other".
     IMAGE = "image"
     WEBPAGE = "webpage"
     OTHER = "other"

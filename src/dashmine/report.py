@@ -29,10 +29,8 @@ from .model import BlockType, DashboardGraphs, EdgeClass
 
 
 def _mode(values: Iterable) -> Any:
-    """Most frequent value; ties resolve to the smallest."""
+    """Most frequent of a non-empty sequence of values; ties resolve to the smallest."""
     counts = Counter(values)
-    if not counts:
-        return None
     top = max(counts.values())
     return min(v for v, c in counts.items() if c == top)
 

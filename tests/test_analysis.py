@@ -42,6 +42,10 @@ def test_isolated_nodes_are_singleton_cliques():
     assert maximal_cliques(["A", "B"], []) == [("A",), ("B",)]
 
 
+def test_self_loops_are_ignored():
+    assert maximal_cliques(["A", "B"], [("A", "A"), ("A", "B")]) == [("A", "B")]
+
+
 def test_cliques_match_exhaustive_enumeration():
     rng = np.random.default_rng(31)
     for _ in range(100):

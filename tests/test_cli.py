@@ -656,6 +656,33 @@ def test_env_var_overrides_default(tmp_path, monkeypatch):
     assert (tmp_path / "dashboards.ndjson").read_text() == ""
 
 
+@pytest.mark.parametrize(
+    "variable, argv",
+    [
+        ("DASHMINE_MIN_CHARTS", ["parse", "--input", str(FIXTURES / "fig_b.json")]),
+        ("DASHMINE_MIN_CLUSTER_SIZE", ["lint", "--input", str(FIXTURES)]),
+    ],
+)
+def test_malformed_env_override_is_a_json_error(tmp_path, capsys, monkeypatch, variable, argv):
+    # lint's exit 1 means findings, so a bad environment must not read as one
+    monkeypatch.setenv(variable, "abc")
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    error = _only_error(capsys)
+    assert error == {
+        "error": "ValueError",
+        "message": f"environment variable {variable}: invalid int value: 'abc'",
+        "stage": None,
+    }
+    assert not out.exists()
+
+
+def test_stage_without_graph_inputs_fails(tmp_path, capsys):
+    assert main(["analyze", "--input", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    error = _only_error(capsys)
+    assert (error["error"], error["message"]) == ("FileNotFoundError", "no *.graph.json inputs found")
+
+
 def test_cluster_sweep(tmp_path):
     out = tmp_path
     inputs = [str(FIXTURES / f"fig_{x}.json") for x in ("a", "b", "c")]
@@ -711,6 +738,16 @@ def test_cluster_sweep_rejects_empty_range_and_bad_step(tmp_path, capsys, spec):
     assert (error["error"], error["stage"]) == ("ValueError", "cluster")
     assert repr(spec) in error["message"]
     assert not (out / "sweep.json").exists()
+
+
+def test_cluster_sweep_rejects_an_unknown_parameter(tmp_path, capsys):
+    matrix = tmp_path / "features_scaled.csv"
+    matrix.write_text(matrix_to_csv([FeatureVector(f"d{i}", (float(i),) * 19) for i in range(30)]))
+    out = tmp_path / "out"
+    assert main(["cluster", "--input", str(matrix), "--sweep", "min_samples=2..4", "--out", str(out)]) == 2
+    error = _only_error(capsys)
+    assert (error["error"], error["message"]) == ("ValueError", "unknown sweep parameter: 'min_samples'")
+    assert not out.exists()
 
 
 def test_labels_csv_round_trips_ids_with_commas(tmp_path):

@@ -485,6 +485,12 @@ def test_finite_values_whose_distances_could_overflow_are_rejected():
     hdbscan(near, ClusterParams(min_cluster_size=5))
 
 
+def test_silhouette_labels_must_match_the_rows():
+    X = np.array([[0.0, 0.0]] * 3 + [[100.0, 0.0]] * 3)
+    with pytest.raises(ValueError, match="labels length"):
+        silhouette(X, [0, 0, 0, 1, 1])
+
+
 def test_cluster_params_validation():
     with pytest.raises(ValueError):
         ClusterParams(min_cluster_size=1)

@@ -212,6 +212,11 @@ def test_manifest_mismatch_detected():
     scaler = fit_scaler([_vec("a", [2, 0]), _vec("b", [4, 1])], _manifest2())
     with pytest.raises(ManifestMismatch):
         apply_scaler(scaler, FeatureVector("x", (1.0, 2.0, 3.0)))
+    wide = FeatureVector("x", (1.0, 2.0, 3.0))
+    with pytest.raises(ManifestMismatch, match="vector for x has 3 values, manifest has 2"):
+        fit_scaler([_vec("a", [2, 0]), wide], _manifest2())
+    with pytest.raises(ManifestMismatch, match="vector for x"):
+        matrix_to_csv([wide], _manifest2())
 
 
 def test_two_column_one_hot_manifest_is_configurable():
@@ -237,6 +242,15 @@ def test_csv_round_trip():
     assert [v.dashboard_id for v in vectors_back] == [v.dashboard_id for v in vectors]
     for a, b in zip(vectors, vectors_back):
         assert a.values == b.values  # repr round-trip is exact
+
+
+def test_csv_blank_rows_are_skipped():
+    vectors = [_vec("a", [2, 0]), _vec("b", [4, 1])]
+    text = matrix_to_csv(vectors, _manifest2())
+    lines = text.splitlines()
+    spaced = "\n".join(lines[:2] + [""] + lines[2:] + [""]) + "\n"
+    assert matrix_from_csv(spaced) == matrix_from_csv(text)
+    assert matrix_from_csv(text)[1] == vectors
 
 
 def test_manifest_json_round_trip():

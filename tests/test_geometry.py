@@ -63,6 +63,11 @@ def test_gap_just_past_tolerance_is_none():
     assert detect((0, 0, 100, 100), (110, 20, 50, 50)) is AdjacencyConfig.ADJOINING
 
 
+def test_negative_tolerance_is_rejected():
+    with pytest.raises(ValueError, match="tolerance"):
+        Tolerance(-1)
+
+
 def test_corner_touch_is_not_adjacent():
     assert detect((0, 0, 100, 100), (100, 100, 50, 50)) is None
 

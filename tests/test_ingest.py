@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import io
+import json
+
 import pytest
 
 from dashmine.errors import MalformedDocument, SchemaViolation
@@ -14,6 +17,7 @@ from dashmine.model import (
     MultimediaKind,
     MultimediaProps,
     WidgetType,
+    dashboard_to_dict,
 )
 
 from conftest import FIXTURES, load_fixture, make_block
@@ -106,7 +110,7 @@ def test_duplicate_zone_id_rejected():
     bad = MINIMAL_XML.replace(b'id="z2"', b'id="z1"')
     with pytest.raises(SchemaViolation) as err:
         parse_workbook(bad, format="xml")
-    assert "duplicate zone id" in str(err.value)
+    assert str(err.value) == "dashboard 'd1': duplicate block id: 'z1'"
 
 
 # --- zones to blocks -------------------------------------------------------------
@@ -140,12 +144,14 @@ def test_unknown_zone_kind_strict_vs_lenient():
     assert block.props == MultimediaProps(kind=MultimediaKind.OTHER)
 
 
-def _fault_doc(zones: str = "", actions: str = "", datasources: str = "", dash_attrs: str = "") -> str:
+def _fault_doc(
+    zones: str = "", actions: str = "", datasources: str = "", dash_attrs: str = "", worksheets: str = ""
+) -> str:
     """A one-dashboard workbook whose chart zone c1 is valid; the arguments add one fault."""
     return (
         f"<workbook><datasources>{datasources}</datasources><worksheets>"
         "<worksheet name='w1'><mark type='bar'/><encoding channel='column' field='A'/></worksheet>"
-        f"</worksheets><dashboards><dashboard id='d'{dash_attrs}>"
+        f"{worksheets}</worksheets><dashboards><dashboard id='d'{dash_attrs}>"
         "<zone id='c1' type='chart' x='0' y='0' w='100' h='100' worksheet='w1'/>"
         f"{zones}{actions}</dashboard></dashboards></workbook>"
     )
@@ -173,10 +179,10 @@ ZONE = "dashboards/dashboard[0]/zone[1]: "
             ZONE + "unknown worksheet: nope",
         ),
         (_fault_doc("<zone id='z' type='blank' x='0' y='0' w='5' h='5'/>"), ZONE + "unknown zone kind: 'blank'"),
-        (_fault_doc("<zone id='c1' type='text' x='0' y='0' w='5' h='5'/>"), ZONE + "duplicate zone id: c1"),
+        (_fault_doc("<zone id='c1' type='text' x='0' y='0' w='5' h='5'/>"), "dashboard 'd': duplicate block id: 'c1'"),
         (
             _fault_doc(actions="<action source='c1' target='ghost' type='filter'/>"),
-            "dashboards/dashboard[0]/action[0]: action references unknown zone: ghost",
+            "dashboard 'd': unknown interaction endpoint: 'ghost'",
         ),
         (
             _fault_doc(datasources="<datasource><attribute name='A' datatype='string'/></datasource>"),
@@ -186,6 +192,15 @@ ZONE = "dashboards/dashboard[0]/zone[1]: "
             _fault_doc(datasources="<datasource name='s'><attribute name='A'/></datasource>"),
             "datasources/datasource[0]: missing required attribute 'datatype'",
         ),
+        (
+            _fault_doc(worksheets="<worksheet name='w2'/>"),
+            "worksheets/worksheet[1]: worksheet needs at least one mark or encoding",
+        ),
+        (
+            _fault_doc(worksheets="<worksheet name='w1'><mark type='line'/></worksheet>"),
+            "worksheets: duplicate worksheet name: w1",
+        ),
+        ("<dashboards/>", "/: expected <workbook> root, found <dashboards>"),
     ],
     ids=[
         "zone-id",
@@ -199,12 +214,89 @@ ZONE = "dashboards/dashboard[0]/zone[1]: "
         "dangling-action",
         "datasource-name",
         "datasource-attribute-datatype",
+        "worksheet-empty",
+        "duplicate-worksheet-name",
+        "root-not-workbook",
     ],
 )
 def test_single_fault_documents_keep_their_messages(doc, message):
     with pytest.raises(SchemaViolation) as err:
         parse_workbook(doc, format="xml")
     assert str(err.value) == message
+
+
+# Each fault once as a workbook zone or action and once as its canonical
+# JSON twin: the chart c1 of _fault_doc plus the blocks and interactions given.
+_C1 = {
+    "id": "c1", "type": "chart", "x": 0, "y": 0, "w": 100, "h": 100,
+    "props": {"vis_type": "bar", "marks": ["bar"], "encodings": [["column", "A"]]},
+}
+PARITY_FAULTS = {
+    "repeated-block-id": (
+        "<zone id='c1' type='text' x='0' y='0' w='5' h='5'/>",
+        {"blocks": [{"id": "c1", "type": "text", "x": 0, "y": 0, "w": 5, "h": 5, "props": {}}]},
+    ),
+    "dangling-action": (
+        "<action source='c1' target='ghost' type='filter'/>",
+        {"interactions": [{"source": "c1", "target": "ghost", "type": "filter"}]},
+    ),
+    "zero-area-block": (
+        "<zone id='t' type='text' x='0' y='0' w='0' h='5'/>",
+        {"blocks": [{"id": "t", "type": "text", "x": 0, "y": 0, "w": 0, "h": 5, "props": {}}]},
+    ),
+    "unknown-widget": (
+        "<zone id='f' type='filter' x='0' y='0' w='5' h='5' widget='combo'/>",
+        {"blocks": [{"id": "f", "type": "filter", "x": 0, "y": 0, "w": 5, "h": 5, "props": {"widget": "combo"}}]},
+    ),
+    "unknown-multimedia-kind": (
+        "<zone id='m' type='multimedia' x='0' y='0' w='5' h='5' kind='video'/>",
+        {"blocks": [{"id": "m", "type": "multimedia", "x": 0, "y": 0, "w": 5, "h": 5, "props": {"kind": "video"}}]},
+    ),
+}
+
+
+@pytest.mark.parametrize("fault", list(PARITY_FAULTS))
+@pytest.mark.parametrize("strict", [True, False])
+def test_xml_and_its_json_twin_fail_alike(fault, strict):
+    element, json_parts = PARITY_FAULTS[fault]
+    doc = {"id": "d", "blocks": [_C1] + json_parts.get("blocks", []), "interactions": json_parts.get("interactions", [])}
+    with pytest.raises(SchemaViolation) as json_err:
+        parse_workbook(json.dumps(doc), format="json")
+    with pytest.raises(SchemaViolation) as xml_err:
+        parse_workbook(_fault_doc(element), format="xml", strict=strict)
+    message = str(json_err.value)
+    assert str(xml_err.value) in (message, f"dashboards/dashboard[0]: {message}")
+
+
+def test_known_widget_and_multimedia_kinds_parse_in_both_formats():
+    zones = (
+        "<zone id='f' type='filter' x='0' y='0' w='5' h='5' widget='slider'/>"
+        "<zone id='m' type='multimedia' x='0' y='0' w='5' h='5' kind='webpage'/>"
+        "<zone id='n' type='multimedia' x='0' y='0' w='5' h='5'/>"
+    )
+    (d,) = parse_workbook(_fault_doc(zones), format="xml")
+    assert [b.props for b in d.blocks[1:]] == [
+        FilterProps(widget=WidgetType.SLIDER),
+        MultimediaProps(kind=MultimediaKind.WEBPAGE),
+        MultimediaProps(kind=MultimediaKind.IMAGE),
+    ]
+    assert parse_workbook(json.dumps(dashboard_to_dict(d)), format="json") == (d,)
+
+
+def test_deep_json_fails_as_a_package_error():
+    with pytest.raises(SchemaViolation, match="nested deeper"):
+        parse_workbook(b"[" * 100_000 + b"]" * 100_000, format="json")
+
+
+def test_str_and_file_like_documents_parse_like_bytes():
+    expected = parse_workbook(MINIMAL_XML, format="xml")
+    assert parse_workbook(MINIMAL_XML.decode(), format="xml") == expected
+    assert parse_workbook(io.BytesIO(MINIMAL_XML), format="xml") == expected
+
+
+def test_unknown_format_is_rejected():
+    with pytest.raises(ValueError, match="unknown format: 'yaml'"):
+        parse_workbook(MINIMAL_XML, format="yaml")
 
 
 def test_dashboard_size_must_be_integer():
@@ -324,6 +416,11 @@ def test_filter_corpus_keeps_two_or_more_charts():
     one = _dash_with_charts("one", 1)
     two = _dash_with_charts("two", 2)
     assert filter_corpus([one, two], min_charts=2) == [two]
+
+
+def test_filter_corpus_rejects_a_negative_threshold():
+    with pytest.raises(ValueError, match="min_charts"):
+        filter_corpus([], min_charts=-1)
 
 
 def test_filter_corpus_zero_threshold_is_identity():

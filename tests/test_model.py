@@ -21,6 +21,7 @@ from dashmine.model import (
     graphs_from_dict,
     graphs_to_dict,
     infer_vis_type,
+    props_to_dict,
     validate,
 )
 from dashmine.errors import SchemaViolation
@@ -109,6 +110,11 @@ def test_unrecognized_props_keys_ride_along():
     d = dashboard_from_dict(doc)
     assert d.blocks[0].props.extra == {"step": 5, "show_label": True}
     assert dashboard_to_dict(d) == doc
+
+
+def test_props_to_dict_rejects_an_unknown_variant():
+    with pytest.raises(TypeError, match="unknown props variant: dict"):
+        props_to_dict({"kind": "image"})
 
 
 def test_graph_doc_keeps_interaction_type(fig_graphs):

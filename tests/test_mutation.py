@@ -2,10 +2,13 @@
 
 Every stage's input is built from the fixtures (a JSON and an XML
 document, ``dashboards.ndjson``, graph files, a manifest, ``scaler.json``
-and the feature CSVs), then mutated one way at a time: a key dropped, a
-value of another type, a list swapped for an object or back, the text
-cut short, a non-finite, huge or tiny number, an odd unicode string (ids
-included), or a value nested 100,000 deep (XML: 10,000 elements deep).
+and the feature CSVs) and from seeded random dashboards (conftest's
+``random_dashboard``: mixed block types, noisy actions) written as
+canonical JSON documents, ``dashboards.ndjson`` and graph files.  Each
+is then mutated one way at a time: a key dropped, a value of another
+type, a list swapped for an object or back, the text cut short, a
+non-finite, huge or tiny number, an odd unicode string (ids included),
+or a value nested 100,000 deep (XML: 10,000 elements deep).
 Each mutated input runs through ``cli.main`` in-process, and must meet
 the contract:
 
@@ -14,8 +17,10 @@ the contract:
 * nothing raises out of ``main`` (no traceback),
 * a stage that exits 2 leaves no output behind.
 
-``CASES`` (90) mutations per target over the 12 targets of ``TARGETS``,
-1,080 cases in all, drawn from a fixed seed.
+``CASES`` (90) mutations per target over the 12 fixture targets of
+``TARGETS``, and ``RANDOM_CASES`` (240) over the 4 random-dashboard
+targets of ``RANDOM_TARGETS``: 2,040 cases in all, drawn from a fixed
+seed.
 """
 
 from __future__ import annotations
@@ -29,14 +34,21 @@ import shutil
 from pathlib import Path
 from typing import Callable
 
+import numpy as np
 import pytest
 
 from dashmine.cli import main
+from dashmine.geometry import build_graphs
+from dashmine.model import dashboard_to_dict, graphs_to_dict
+
+from conftest import random_dashboard
 
 from test_cli import pipeline_inputs  # noqa: F401  (the inputs every case mutates)
 
 SEED = 2023
 CASES = 90
+RANDOM_CASES = 240
+RANDOM_DASHBOARDS = 12
 
 DEEP_JSON = "[" * 100_000 + "]" * 100_000
 # JSON literals, spliced into a document in place of one of its values
@@ -198,6 +210,30 @@ TARGETS: dict[str, tuple[str, str, Callable, list[str]]] = {
 }
 
 
+# the same, over the inputs of random_inputs
+RANDOM_TARGETS: dict[str, tuple[str, str, Callable, list[str]]] = {
+    "random-parse-json": ("parse", "*.doc.json", mutate_json, ["--input", "{f}", "--min-charts", "0"]),
+    "random-graph": ("graph", "dashboards.ndjson", mutate_ndjson, ["--input", "{f}"]),
+    "random-features": ("features", "*.graph.json", mutate_json, ["--input", "{w}"]),
+    "random-lint": ("lint", "*.graph.json", mutate_json, ["--input", "{w}"]),
+}
+
+
+@pytest.fixture(scope="module")
+def random_inputs(tmp_path_factory) -> Path:
+    """Seeded random dashboards as canonical JSON documents (``<id>.doc.json``),
+    one ``dashboards.ndjson`` and graph files."""
+    work = tmp_path_factory.mktemp("random")
+    rng = np.random.default_rng(SEED)
+    dashboards = [random_dashboard(rng, f"r{i}") for i in range(RANDOM_DASHBOARDS)]
+    docs = [dashboard_to_dict(d) for d in dashboards]
+    for d, doc in zip(dashboards, docs):
+        (work / f"{d.id}.doc.json").write_text(json.dumps(doc))
+        (work / f"{d.id}.graph.json").write_text(json.dumps(graphs_to_dict(build_graphs(d))))
+    (work / "dashboards.ndjson").write_text("".join(json.dumps(doc) + "\n" for doc in docs))
+    return work
+
+
 def _contract_breach(argv: list[str], out: Path) -> str | None:
     """Run one stage; say how it breaks the error contract, if it does."""
     stdout, stderr = io.StringIO(), io.StringIO()
@@ -225,20 +261,20 @@ def _contract_breach(argv: list[str], out: Path) -> str | None:
     return None
 
 
-@pytest.mark.parametrize("target", list(TARGETS))
-def test_mutated_input_meets_the_error_contract(tmp_path, pipeline_inputs, target):
-    stage, pattern, mutate, args = TARGETS[target]
+def _assert_contract(tmp_path: Path, inputs: Path, target: str, spec: tuple, cases: int) -> None:
+    """Run ``cases`` seeded mutations of ``target``'s input through its stage."""
+    stage, pattern, mutate, args = spec
     rng = random.Random(f"{SEED}-{target}")
-    originals = {path: path.read_text() for path in sorted(pipeline_inputs.glob(pattern))}
+    originals = {path: path.read_text() for path in sorted(inputs.glob(pattern))}
     out = tmp_path / "out"
     breaches = []
-    for _ in range(CASES):
+    for _ in range(cases):
         path = rng.choice(list(originals))
         mutated, what = mutate(originals[path], rng)
         # a graph file is mutated in place, among the others, and restored
         written = path if path.name.endswith(".graph.json") else tmp_path / path.name
         written.write_text(mutated, encoding="utf-8", errors="surrogatepass")
-        argv = [stage] + [a.replace("{f}", str(written)).replace("{w}", str(pipeline_inputs)) for a in args]
+        argv = [stage] + [a.replace("{f}", str(written)).replace("{w}", str(inputs)) for a in args]
         try:
             breach = _contract_breach(argv, out)
         finally:
@@ -247,4 +283,14 @@ def test_mutated_input_meets_the_error_contract(tmp_path, pipeline_inputs, targe
         if breach:
             breaches.append(f"{path.name}, {what}: {breach}")
         shutil.rmtree(out, ignore_errors=True)
-    assert not breaches, f"{len(breaches)} of {CASES} cases:\n" + "\n".join(breaches[:10])
+    assert not breaches, f"{len(breaches)} of {cases} cases:\n" + "\n".join(breaches[:10])
+
+
+@pytest.mark.parametrize("target", list(TARGETS))
+def test_mutated_input_meets_the_error_contract(tmp_path, pipeline_inputs, target):
+    _assert_contract(tmp_path, pipeline_inputs, target, TARGETS[target], CASES)
+
+
+@pytest.mark.parametrize("target", list(RANDOM_TARGETS))
+def test_mutated_random_input_meets_the_error_contract(tmp_path, random_inputs, target):
+    _assert_contract(tmp_path, random_inputs, target, RANDOM_TARGETS[target], RANDOM_CASES)
