@@ -54,15 +54,24 @@ EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 
 
-def _env_default(option: str, fallback, cast: Callable = str):
+def _env_default(option: str, fallback, cast: Callable = str, choices: Sequence[str] = ()):
+    """``DASHMINE_<OPTION>`` cast to the option's type, or ``fallback``.
+
+    argparse checks neither a default's type nor its ``choices``, so an
+    override is checked here, naming the variable.
+    """
     name = f"DASHMINE_{option.upper()}"
     raw = os.environ.get(name)
     if raw is None:
         return fallback
     try:
-        return cast(raw)
+        value = cast(raw)
     except ValueError:
         raise ValueError(f"environment variable {name}: invalid {cast.__name__} value: {raw!r}") from None
+    if choices and value not in choices:
+        allowed = ", ".join(map(repr, choices))
+        raise ValueError(f"environment variable {name}: invalid choice: {raw!r} (choose from {allowed})")
+    return value
 
 
 def _fingerprint(config: dict[str, Any]) -> str:
@@ -404,10 +413,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="parse workbook XML / canonical JSON into dashboards.ndjson")
     p.add_argument("--input", nargs="+", required=True, help="files, globs or directories")
+    formats = ("auto", "xml", "json")
     p.add_argument(
         "--format",
-        choices=("auto", "xml", "json"),
-        default=_env_default("FORMAT", "auto"),
+        choices=formats,
+        default=_env_default("FORMAT", "auto", choices=formats),
         help="input grammar; auto selects by file extension",
     )
     p.add_argument("--lenient", action="store_true", help="downgrade unknown zone kinds instead of failing")

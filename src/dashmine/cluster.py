@@ -4,8 +4,8 @@ The pipeline follows the classic hierarchical density-based scheme:
 
 1. core distance of each point = distance to its ``min_samples``-th
    nearest neighbor (the point itself counts as the first), computed
-   once per unique row over the unique rows weighted by multiplicity;
-   for k = min(min_samples, unique rows) <= 32 the rows of each flag
+   once per unique row over the unique rows weighted by multiplicity,
+   in one ring pass for every ``min_samples``: the rows of each flag
    pattern (below) measure each other pair once, in blocks of 32 rows,
    and then the other patterns ring by ring until a bound settles them,
 2. mutual reachability d_mr(a, b) = max(core(a), core(b), d(a, b)),
@@ -33,12 +33,12 @@ over the rows in order, and selection compares those sums.
 
 Distances are exact, O(m^2) in the m unique rows: steps 1 and 3 and
 the silhouette measure each distinct row, not each row, and step 1 each
-unordered pair once when ``min_samples`` is small.  Determinism
-everywhere via ascending-index tie-breaking.  Every distance, in
-clustering and in silhouette, comes from the one kernel
-:func:`_row_distances` on the same rows, and d(a, b) = d(b, a) bit for
-bit, so skipping distances that are not needed, or taking one from the
-other end of the pair, never changes the bits of those that are used.
+unordered pair within a flag pattern once.  Determinism everywhere via
+ascending-index tie-breaking.  Every distance, in clustering and in
+silhouette, comes from the one kernel :func:`_row_distances` on the
+same rows, and d(a, b) = d(b, a) bit for bit, so skipping distances
+that are not needed, or taking one from the other end of the pair,
+never changes the bits of those that are used.
 
 The one distance bound steps 1 and 3 use is exact in floating point.  A
 flag column is one whose every value is exactly 0.0 or 1.0, found from
@@ -147,10 +147,9 @@ def _row_distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-# Unique rows per block of the symmetric core-distance pass, which runs
-# when k = min(min_samples, unique rows) is at most this; above it the
-# per-row loop measured faster (k = 40 and k = 250).  Also the rows that
-# measure one ring of flag patterns together.
+# Unique rows per block of the symmetric core-distance pass, and the rows
+# that measure one ring of flag patterns together; :func:`_unique_rows`
+# keeps at most one flag pattern per this many unique rows.
 _CORE_BLOCK = 32
 # Later rows whose candidates one merge step updates together; bounds the
 # merge's scratch arrays.
@@ -209,33 +208,9 @@ def _core_distances(rows: _UniqueRows, min_samples: int) -> np.ndarray:
     first whose cumulative multiplicity reaches ``min_samples``.  Every
     value is a ``_row_distances`` result, so the bits equal a per-row
     loop over all n rows.
-    """
-    k = min(min_samples, rows.values.shape[0])
-    if k <= _CORE_BLOCK:
-        return _core_distances_by_ring(rows, min_samples, k)
-    return _core_distances_per_row(rows.values, rows.counts, min_samples, k)
-
-
-def _core_distances_per_row(
-    U: np.ndarray, counts: np.ndarray, min_samples: int, k: int
-) -> np.ndarray:
-    """Each unique row against all unique rows, one row at a time."""
-    m = U.shape[0]
-    core_u = np.empty(m)
-    for u in range(m):
-        d = _row_distances(U, U[u])
-        nearest = np.sort(np.argpartition(d, k - 1)[:k])
-        nearest = nearest[np.argsort(d[nearest], kind="stable")]
-        reached = np.searchsorted(np.cumsum(counts[nearest]), min_samples)
-        core_u[u] = d[nearest[reached]]
-    return core_u
-
-
-def _core_distances_by_ring(rows: _UniqueRows, min_samples: int, k: int) -> np.ndarray:
-    """Nearest rows of the own flag pattern first, then ring by ring.
 
     Each row keeps its k nearest (distance, multiplicity) candidates.
-    They start as the k nearest rows of its own pattern, found by
+    They start as the k nearest rows of its own flag pattern, found by
     :func:`_nearest_symmetric` over that pattern's rows.  The patterns
     h flags away form ring h, whose rows are at distance >= fl(sqrt(h));
     rings are measured in order of h, and only by the rows whose k-th
@@ -245,6 +220,7 @@ def _core_distances_by_ring(rows: _UniqueRows, min_samples: int, k: int) -> np.n
     candidate slot is never a distance, because :func:`_as_matrix`
     rejects every matrix whose distances could overflow.
     """
+    k = min(min_samples, rows.values.shape[0])
     U, counts = rows.values, rows.counts
     starts = np.searchsorted(rows.pattern, np.arange(rows.bound.shape[0] + 1))
     m = U.shape[0]
@@ -360,11 +336,11 @@ def _mutual_reachability_mst(rows: _UniqueRows, core: np.ndarray) -> np.ndarray:
     first rows and the waiting groups' next rows, so the edges equal the
     full-row Prim's.
 
-    With more than one flag pattern, the joiner x measures only the
-    fresh groups v whose lower bound max(core_v, core_x, fl(sqrt(h)))
-    is below their candidate weight, h being the flags v and x differ
-    in: the reach is at least that bound, so no skipped group could
-    have taken the strictly lighter edge an update needs.
+    The joiner x measures only the fresh groups v whose lower bound
+    max(core_v, core_x, fl(sqrt(h))) is below their candidate weight,
+    h being the flags v and x differ in (0 within a pattern): the reach
+    is at least that bound, so no skipped group could have taken the
+    strictly lighter edge an update needs.
 
     Fresh groups are kept in arrays ordered by first row, so
     ``np.argmin``'s first-minimum rule is the lowest-index rule; a group
@@ -378,7 +354,6 @@ def _mutual_reachability_mst(rows: _UniqueRows, core: np.ndarray) -> np.ndarray:
     end = np.cumsum(counts)
     nxt = end - counts  # position in ``members`` of each group's next row
     first = members[nxt]
-    prune = rows.bound.shape[0] > 1
 
     gid = np.argsort(first)
     first_f = first[gid]
@@ -408,20 +383,13 @@ def _mutual_reachability_mst(rows: _UniqueRows, core: np.ndarray) -> np.ndarray:
             n_fresh -= 1
             dead += 1
             if n_fresh:
-                if prune:
-                    bound = rows.bound[pattern_f[j]][pattern_f]
-                    lower = np.maximum(core_f, bound)
-                    np.maximum(lower, core_x, out=lower)
-                    near = (lower < best_w).nonzero()[0]
-                    reach = np.maximum(lower[near], _row_distances(values.take(near, axis=0), values[j]))
-                    lighter = reach < best_w[near]
-                    closer = near[lighter]
-                    best_w[closer] = reach[lighter]
-                else:
-                    d = _row_distances(values, values[j])
-                    reach = np.maximum(np.maximum(core_f, core_x), d)
-                    closer = reach < best_w
-                    best_w[closer] = reach[closer]
+                lower = np.maximum(core_f, rows.bound[pattern_f[j]][pattern_f])
+                np.maximum(lower, core_x, out=lower)
+                near = (lower < best_w).nonzero()[0]
+                reach = np.maximum(lower[near], _row_distances(values.take(near, axis=0), values[j]))
+                lighter = reach < best_w[near]
+                closer = near[lighter]
+                best_w[closer] = reach[lighter]
                 best_src[closer] = x
                 if dead > _COMPACT_SHARE * gid.shape[0]:
                     alive = core_f < np.inf

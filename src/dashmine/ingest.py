@@ -201,6 +201,8 @@ def _parse_workbook_json(data: bytes) -> tuple[Dashboard, ...]:
         obj = json.loads(data)
     except json.JSONDecodeError as exc:
         raise MalformedDocument(f"JSON syntax error: {exc.msg}", exc.lineno, exc.colno) from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"JSON text is not valid {exc.encoding}: {exc.reason} at byte {exc.start}") from exc
     except RecursionError:
         raise SchemaViolation("JSON nested deeper than the decoder goes") from None
     return (_decode(obj),)

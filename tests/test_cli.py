@@ -677,6 +677,19 @@ def test_malformed_env_override_is_a_json_error(tmp_path, capsys, monkeypatch, v
     assert not out.exists()
 
 
+def test_env_format_outside_the_choices_is_a_json_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("DASHMINE_FORMAT", "bogus")
+    out = tmp_path / "out"
+    assert main(["parse", "--input", str(FIXTURES / "fig_a.json"), "--out", str(out)]) == 2
+    assert _only_error(capsys) == {
+        "error": "ValueError",
+        "message": "environment variable DASHMINE_FORMAT: invalid choice: 'bogus'"
+        " (choose from 'auto', 'xml', 'json')",
+        "stage": None,
+    }
+    assert not out.exists()
+
+
 def test_stage_without_graph_inputs_fails(tmp_path, capsys):
     assert main(["analyze", "--input", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
     error = _only_error(capsys)

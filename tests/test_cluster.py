@@ -237,9 +237,9 @@ def test_core_distances_are_bit_identical_to_golden_per_row_loop():
             got = _core(X, min_samples)
             assert np.array_equal(got, golden_core_distances(X, min_samples)), (n, min_samples)
 
-    # Larger matrices on both sides of the symmetric pass's k <= 32 rule,
-    # with several blocks of unique rows and multiplicities that decide
-    # which neighbor is the min_samples-th.
+    # Larger matrices, with k on both sides of the block size, several
+    # blocks of unique rows and multiplicities that decide which neighbor
+    # is the min_samples-th.
     larger = [
         _duplicate_heavy_matrix(rng, 300, 120),
         _duplicate_heavy_matrix(rng, 450, 400),
@@ -289,7 +289,7 @@ def _flag_matrices() -> dict[str, np.ndarray]:
     }
 
 
-FLAG_MIN_SAMPLES = (1, 2, 10, 32, 33)
+FLAG_MIN_SAMPLES = (1, 2, 10, 32, 33, 250)
 
 
 def test_flag_pattern_bounds_keep_core_and_mst_bit_identical():
@@ -665,25 +665,27 @@ def test_each_distinct_row_pair_is_measured_once(monkeypatch):
     m = rows.values.shape[0]
     assert rows.bound.shape == (1, 1)  # no 0/1 column: one flag pattern
 
-    # k <= 32: each unordered pair of unique rows once, plus the pairs
-    # inside each block, which both of their rows measure.
+    # Each unordered pair of unique rows once, plus the pairs inside each
+    # block, which both of their rows measure.
     block = cluster._CORE_BLOCK
     overlap = sum(b * (b - 1) // 2 for b in (min(block, m - lo) for lo in range(0, m, block)))
     core = _core_distances(rows, 10)
     assert len(calls) == m
     assert sum(lengths()) == m * (m + 1) // 2 + overlap
 
-    # k > 32: the per-row loop, every unique row against all of them.
+    # k above the block size: the same pass, the same counts.
     calls.clear()
     _core_distances(rows, 40)
-    assert lengths() == [m] * m
+    assert len(calls) == m
+    assert sum(lengths()) == m * (m + 1) // 2 + overlap
 
     # Prim: only each group's first row is measured, against groups, not
-    # rows; the last group to join has no fresh group left to measure.
+    # rows, and never against its own dead slot; the last group to join
+    # has no fresh group left to measure.
     calls.clear()
     _mutual_reachability_mst(rows, core)
     assert len(calls) == m - 1
-    assert max(lengths()) == m < X.shape[0]
+    assert max(lengths()) == m - 1 < X.shape[0]
 
     # Silhouette: each distinct row of each non-singleton cluster once,
     # against the distinct clustered rows.
@@ -707,41 +709,45 @@ def test_flag_pattern_bounds_skip_settled_rings(monkeypatch):
     flags = (rng.random((600, 3)) < [0.5, 0.3, 0.1]).astype(float)
     X = np.column_stack([continuous, flags])
     rows = _unique_rows(X)
-    m, k = rows.values.shape[0], 10
+    m = rows.values.shape[0]
     one_pattern = dataclasses.replace(
         rows, pattern=np.zeros(m, dtype=np.intp), bound=np.zeros((1, 1))
     )
     assert rows.bound.shape == (8, 8)
 
-    measured = {}
-    for name, view in (("flags", rows), ("hidden", one_pattern)):
-        calls.clear()
-        core = _core_distances(view, k)
-        core_calls = list(calls)
-        calls.clear()
-        _mutual_reachability_mst(view, core)
-        measured[name] = (sum(V.shape[0] for V, _ in core_calls), sum(V.shape[0] for V, _ in calls))
-        if name == "flags":
-            flag_core_calls = core_calls
-    # With the flags hidden the passes are the unpruned ones.
-    assert measured["flags"][0] < measured["hidden"][0]
-    assert measured["flags"][1] < measured["hidden"][1]
+    for k in (10, 40):  # k on both sides of the block size
+        measured = {}
+        for name, view in (("flags", rows), ("hidden", one_pattern)):
+            calls.clear()
+            core = _core_distances(view, k)
+            core_calls = list(calls)
+            calls.clear()
+            _mutual_reachability_mst(view, core)
+            measured[name] = (
+                sum(V.shape[0] for V, _ in core_calls),
+                sum(V.shape[0] for V, _ in calls),
+            )
+            if name == "flags":
+                flag_core_calls = core_calls
+        # With the flags hidden no pattern bound skips a row or a group.
+        assert measured["flags"][0] < measured["hidden"][0]
+        assert measured["flags"][1] < measured["hidden"][1]
 
-    # A row measures the patterns h flags away only while the k-th
-    # nearest of the rows fewer than h flags away is beyond fl(sqrt(h)).
-    flag_of = {row.tobytes(): f for row, f in zip(rows.values, rows.values[:, -3:])}
-    rings = 0
-    for V, x in flag_core_calls:
-        h = {int(np.sum(f != x[-3:])) for f in V[:, -3:]}
-        if h == {0}:
-            continue  # the own pattern's symmetric pass
-        (h,) = h
-        rings += 1
-        hamming = np.array([np.sum(f != x[-3:]) for f in flag_of.values()])
-        assert {v.tobytes() for v in V} == {
-            key for key, d in zip(flag_of, hamming) if d == h
-        }  # the whole ring
-        closer = rows.values[hamming < h]
-        nearest = np.sort(_row_distances(closer, x))
-        assert closer.shape[0] < k or nearest[k - 1] > math.sqrt(h)
-    assert rings > 0
+        # A row measures the patterns h flags away only while the k-th
+        # nearest of the rows fewer than h flags away is beyond fl(sqrt(h)).
+        flag_of = {row.tobytes(): f for row, f in zip(rows.values, rows.values[:, -3:])}
+        rings = 0
+        for V, x in flag_core_calls:
+            h = {int(np.sum(f != x[-3:])) for f in V[:, -3:]}
+            if h == {0}:
+                continue  # the own pattern's symmetric pass
+            (h,) = h
+            rings += 1
+            hamming = np.array([np.sum(f != x[-3:]) for f in flag_of.values()])
+            assert {v.tobytes() for v in V} == {
+                key for key, d in zip(flag_of, hamming) if d == h
+            }  # the whole ring
+            closer = rows.values[hamming < h]
+            nearest = np.sort(_row_distances(closer, x))
+            assert closer.shape[0] < k or nearest[k - 1] > math.sqrt(h)
+        assert rings > 0

@@ -79,6 +79,20 @@ def test_malformed_json_reports_position():
     assert err.value.line is not None
 
 
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        (b"\x80abc", "JSON text is not valid utf-8: invalid start byte at byte 0"),
+        (b"\xff\xfe\x00", "JSON text is not valid utf-16-le: truncated data at byte 2"),
+    ],
+    ids=["utf-8", "utf-16"],
+)
+def test_json_bytes_that_do_not_decode_are_malformed(data, message):
+    with pytest.raises(MalformedDocument) as err:
+        parse_workbook(data, format="json")
+    assert str(err.value) == message
+
+
 def test_xml_and_json_fixtures_parse_to_equal_dashboards():
     for name in ("fig_a", "fig_b", "fig_c"):
         from_xml = parse_workbook((FIXTURES / f"{name}.xml").read_bytes(), format="xml")
