@@ -5,9 +5,9 @@ The pipeline follows the classic hierarchical density-based scheme:
 1. core distance of each point = distance to its ``min_samples``-th
    nearest neighbor (the point itself counts as the first), computed
    once per unique row over the unique rows weighted by multiplicity,
-   in one ring pass for every ``min_samples``: the rows of each flag
-   pattern (below) measure each other pair once, in blocks of 32 rows,
-   and then the other patterns ring by ring until a bound settles them,
+   one flag pattern (below) at a time: its rows measure their own
+   pattern and then the other patterns, ring by ring in blocks of 32
+   rows, until a bound settles them,
 2. mutual reachability d_mr(a, b) = max(core(a), core(b), d(a, b)),
 3. minimum spanning tree of the complete mutual-reachability graph
    (Prim's algorithm over groups of identical rows: only a group's
@@ -32,13 +32,11 @@ order is part of the contract: each stability is a floating-point sum
 over the rows in order, and selection compares those sums.
 
 Distances are exact, O(m^2) in the m unique rows: steps 1 and 3 and
-the silhouette measure each distinct row, not each row, and step 1 each
-unordered pair within a flag pattern once.  Determinism everywhere via
-ascending-index tie-breaking.  Every distance, in clustering and in
-silhouette, comes from the one kernel :func:`_row_distances` on the
-same rows, and d(a, b) = d(b, a) bit for bit, so skipping distances
-that are not needed, or taking one from the other end of the pair,
-never changes the bits of those that are used.
+the silhouette measure each distinct row, not each row.  Determinism
+everywhere via ascending-index tie-breaking.  Every distance, in
+clustering and in silhouette, comes from the one kernel
+:func:`_row_distances` on the same rows, so skipping distances that
+are not needed never changes the bits of those that are used.
 
 The one distance bound steps 1 and 3 use is exact in floating point.  A
 flag column is one whose every value is exactly 0.0 or 1.0, found from
@@ -147,13 +145,10 @@ def _row_distances(X: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.sqrt(np.einsum("ij,ij->i", diff, diff))
 
 
-# Unique rows per block of the symmetric core-distance pass, and the rows
-# that measure one ring of flag patterns together; :func:`_unique_rows`
-# keeps at most one flag pattern per this many unique rows.
+# Unique rows measured together against one ring of flag patterns, the
+# own pattern being ring 0; :func:`_unique_rows` keeps at most one flag
+# pattern per this many unique rows.
 _CORE_BLOCK = 32
-# Later rows whose candidates one merge step updates together; bounds the
-# merge's scratch arrays.
-_MERGE_ROWS = 128
 
 
 @dataclass(frozen=True)
@@ -209,32 +204,28 @@ def _core_distances(rows: _UniqueRows, min_samples: int) -> np.ndarray:
     value is a ``_row_distances`` result, so the bits equal a per-row
     loop over all n rows.
 
-    Each row keeps its k nearest (distance, multiplicity) candidates.
-    They start as the k nearest rows of its own flag pattern, found by
-    :func:`_nearest_symmetric` over that pattern's rows.  The patterns
-    h flags away form ring h, whose rows are at distance >= fl(sqrt(h));
-    rings are measured in order of h, and only by the rows whose k-th
+    Flag patterns go one at a time, each with its own k nearest
+    (distance, multiplicity) candidates per row.  The patterns h flags
+    away form ring h, whose rows are at distance >= fl(sqrt(h)); ring 0
+    is the row's own pattern.  Rings are measured in order of h, in
+    blocks of ``_CORE_BLOCK`` rows, and only by the rows whose k-th
     candidate still exceeds the ring's bound, since no farther row can
     change a k-th value at or below it.  With no flag column there is
-    one pattern and no ring.  The ``np.inf`` that marks an empty
+    one pattern and only ring 0.  The ``np.inf`` that marks an empty
     candidate slot is never a distance, because :func:`_as_matrix`
     rejects every matrix whose distances could overflow.
     """
     k = min(min_samples, rows.values.shape[0])
     U, counts = rows.values, rows.counts
     starts = np.searchsorted(rows.pattern, np.arange(rows.bound.shape[0] + 1))
-    m = U.shape[0]
-    cand_d = np.full((m, k), np.inf)
-    cand_w = np.zeros((m, k), dtype=counts.dtype)
-    block = np.empty((min(_CORE_BLOCK, m), m))
     spans = list(zip(starts[:-1].tolist(), starts[1:].tolist()))
-    for lo, hi in spans:
-        _nearest_symmetric(U[lo:hi], counts[lo:hi], cand_d[lo:hi], cand_w[lo:hi], block)
-
-    core = np.empty(m)
+    block = np.empty((min(_CORE_BLOCK, U.shape[0]), U.shape[0]))
+    core = np.empty(U.shape[0])
     for bound, (lo, hi) in zip(rows.bound, spans):
-        unsettled = np.arange(lo, hi)
-        for ring_bound in sorted(set(bound.tolist()))[1:]:  # bound 0 is the own pattern
+        cand_d = np.full((hi - lo, k), np.inf)
+        cand_w = np.zeros((hi - lo, k), dtype=counts.dtype)
+        unsettled = np.arange(hi - lo)
+        for ring_bound in sorted(set(bound.tolist())):
             unsettled = unsettled[cand_d[unsettled, k - 1] > ring_bound]
             if not unsettled.shape[0]:
                 break
@@ -243,67 +234,37 @@ def _core_distances(rows: _UniqueRows, min_samples: int) -> np.ndarray:
             V, w = U[ring], counts[ring]
             for part in range(0, unsettled.shape[0], _CORE_BLOCK):
                 measured = unsettled[part : part + _CORE_BLOCK]
-                d, nearest = _measure_nearest(block, V, U[measured], k)
-                _keep_nearest(cand_d, cand_w, measured, d, w[nearest])
+                _keep_nearest(cand_d, cand_w, measured, U[lo + measured], V, w, block)
 
-        d, w = cand_d[lo:hi], cand_w[lo:hi]
-        by_distance = np.argsort(d, axis=1, kind="stable")
-        reached = (np.cumsum(np.take_along_axis(w, by_distance, axis=1), axis=1) < min_samples).sum(axis=1)
-        core[lo:hi] = np.take_along_axis(d, by_distance, axis=1)[np.arange(hi - lo), reached]
+        by_distance = np.argsort(cand_d, axis=1, kind="stable")
+        reached = (np.cumsum(np.take_along_axis(cand_w, by_distance, axis=1), axis=1) < min_samples).sum(axis=1)
+        core[lo:hi] = np.take_along_axis(cand_d, by_distance, axis=1)[np.arange(hi - lo), reached]
     return core
 
 
-def _nearest_symmetric(
-    U: np.ndarray, counts: np.ndarray, cand_d: np.ndarray, cand_w: np.ndarray, block: np.ndarray
-) -> None:
-    """Merge into each row's candidates its nearest rows of ``U``, each
-    unordered pair measured once.
-
-    Rows go in blocks of ``_CORE_BLOCK``; each block row is measured
-    against the rows from the block's start onward, and d(i, j) = d(j, i)
-    bit for bit because (a - b)^2 = (b - a)^2.  A block row merges its
-    own nearest; a later row merges a block's column only where the
-    column's minimum beats its k-th candidate.
-    """
-    m, k = cand_d.shape
-    for lo in range(0, m, _CORE_BLOCK):
-        hi = min(lo + _CORE_BLOCK, m)
-        d, nearest = _measure_nearest(block, U[lo:], U[lo:hi], k)
-        _keep_nearest(cand_d, cand_w, np.arange(lo, hi), d, counts[lo + nearest])
-
-        later = block[: hi - lo, hi - lo : m - lo]
-        beats = hi + np.flatnonzero(later.min(axis=0) < cand_d[hi:, k - 1])
-        for part in range(0, beats.shape[0], _MERGE_ROWS):
-            rows = beats[part : part + _MERGE_ROWS]
-            _keep_nearest(cand_d, cand_w, rows, later[:, rows - hi].T, counts[lo:hi])
-
-
-def _measure_nearest(
-    block: np.ndarray, V: np.ndarray, rows: np.ndarray, k: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Measure each of ``rows`` against ``V`` into the top of ``block``;
-    return each row's ``min(k, len(V))`` nearest distances and their
-    columns."""
-    D = block[: rows.shape[0], : V.shape[0]]
-    near = min(k, V.shape[0])
-    for r, x in enumerate(rows):
-        D[r] = _row_distances(V, x)
-    nearest = np.argpartition(D, near - 1, axis=1)[:, :near]
-    return D[np.arange(rows.shape[0])[:, None], nearest], nearest
-
-
 def _keep_nearest(
-    cand_d: np.ndarray, cand_w: np.ndarray, rows: np.ndarray, d: np.ndarray, w: np.ndarray
+    cand_d: np.ndarray,
+    cand_w: np.ndarray,
+    rows: np.ndarray,
+    X: np.ndarray,
+    V: np.ndarray,
+    w: np.ndarray,
+    block: np.ndarray,
 ) -> None:
-    """Merge new distances ``d`` (one row per entry of ``rows``), of
-    multiplicities ``w`` (per column, or per entry of ``d``), into those
-    rows' candidates, keeping the k smallest with the k-th last."""
+    """Measure each row of ``X`` against ``V``, whose rows have
+    multiplicities ``w``, into the top of ``block``, and merge its
+    ``min(k, len(V))`` nearest into the candidates of the matching entry
+    of ``rows``, keeping the k smallest with the k-th last."""
     k = cand_d.shape[1]
-    d = np.concatenate([cand_d[rows], d], axis=1)
-    merged_w = np.empty(d.shape, dtype=cand_w.dtype)
-    merged_w[:, :k] = cand_w[rows]
-    merged_w[:, k:] = w
-    keep = (np.arange(rows.shape[0])[:, None], np.argpartition(d, k - 1, axis=1)[:, :k])
+    D = block[: X.shape[0], : V.shape[0]]
+    for r, x in enumerate(X):
+        D[r] = _row_distances(V, x)
+    near = min(k, V.shape[0])
+    at = np.arange(X.shape[0])[:, None]
+    nearest = np.argpartition(D, near - 1, axis=1)[:, :near]
+    d = np.concatenate([cand_d[rows], D[at, nearest]], axis=1)
+    merged_w = np.concatenate([cand_w[rows], w[nearest]], axis=1)
+    keep = (at, np.argpartition(d, k - 1, axis=1)[:, :k])
     cand_d[rows] = d[keep]
     cand_w[rows] = merged_w[keep]
 
@@ -332,9 +293,9 @@ def _mutual_reachability_mst(rows: _UniqueRows, core: np.ndarray) -> np.ndarray:
     then on they wait at weight c with the joiner as source if w > c, or
     keep the joiner's edge if w = c; nothing can beat c, and every later
     mate's distances equal the first's, so no later mate is measured.
-    The next vertex is the least (weight, index) among the fresh groups'
-    first rows and the waiting groups' next rows, so the edges equal the
-    full-row Prim's.
+    All its mates start waiting as soon as the first row joins.  The next
+    vertex is the least (weight, index) among the fresh groups' first
+    rows and the waiting rows, so the edges equal the full-row Prim's.
 
     The joiner x measures only the fresh groups v whose lower bound
     max(core_v, core_x, fl(sqrt(h))) is below their candidate weight,
@@ -346,14 +307,13 @@ def _mutual_reachability_mst(rows: _UniqueRows, core: np.ndarray) -> np.ndarray:
     ``np.argmin``'s first-minimum rule is the lowest-index rule; a group
     that joins is marked dead (infinite core and weight) and the arrays
     are compacted once dead entries exceed ``_COMPACT_SHARE`` of them.
-    Waiting groups sit in a heap keyed by (weight, next row).
+    Waiting rows sit in a heap keyed by (weight, row).
     """
     counts = rows.counts
     n = rows.inverse.shape[0]
     members = np.argsort(rows.inverse, kind="stable")  # each group's rows, ascending
-    end = np.cumsum(counts)
-    nxt = end - counts  # position in ``members`` of each group's next row
-    first = members[nxt]
+    start = np.cumsum(counts) - counts  # position in ``members`` of each group's first row
+    first = members[start]
 
     gid = np.argsort(first)
     first_f = first[gid]
@@ -361,22 +321,21 @@ def _mutual_reachability_mst(rows: _UniqueRows, core: np.ndarray) -> np.ndarray:
     best_w = np.full(gid.shape[0], np.inf)
     best_src = np.zeros(gid.shape[0], dtype=np.intp)
     n_fresh, dead = gid.shape[0], 0
-    waiting: list[tuple[float, int, int, int]] = []  # (weight, next row, group, source)
+    waiting: list[tuple[float, int, int]] = []  # (weight, row, source)
 
     edges = np.empty((n - 1, 3))
     # Step k adds the k-th vertex to the tree, by edges[k - 1]: the first
-    # row of fresh slot j at weight w, or, when j is -1, the next row of
-    # the first waiting group.  Vertex 0 starts the tree.
+    # row of fresh slot j at weight w, or, when j is -1, the first waiting
+    # row.  Vertex 0 starts the tree.
     j, w = 0, np.inf
     for k in range(n):
         if j >= 0:
             x, g = int(first_f[j]), int(gid[j])
             if k:
                 edges[k - 1] = (best_src[j], x, w)
-            nxt[g] += 1
-            if nxt[g] < end[g]:
-                source = x if w > core[g] else int(best_src[j])
-                heapq.heappush(waiting, (float(core[g]), int(members[nxt[g]]), g, source))
+            source = x if w > core[g] else int(best_src[j])
+            for mate in members[start[g] + 1 : start[g] + counts[g]].tolist():
+                heapq.heappush(waiting, (float(core[g]), mate, source))
             # The slot is dead from now on: its infinite core makes every
             # reach and lower bound to it infinite, so it is never updated.
             core_x, core_f[j], best_w[j] = core_f[j], np.inf, np.inf
@@ -399,11 +358,8 @@ def _mutual_reachability_mst(rows: _UniqueRows, core: np.ndarray) -> np.ndarray:
                     dead = 0
                 jf = int(best_w.argmin())
         else:
-            c, x, g, source = heapq.heappop(waiting)
+            c, x, source = heapq.heappop(waiting)
             edges[k - 1] = (source, x, c)
-            nxt[g] += 1
-            if nxt[g] < end[g]:
-                heapq.heappush(waiting, (c, int(members[nxt[g]]), g, source))
         if k == n - 1:
             break
         if waiting and (not n_fresh or waiting[0][:2] < (float(best_w[jf]), int(first_f[jf]))):

@@ -236,7 +236,7 @@ def fit_scaler(
     with np.errstate(over="ignore", invalid="ignore"):
         mean = matrix.mean(axis=0)
         std = matrix.std(axis=0)  # population
-    flags = np.array(manifest.flags)
+    flags = np.array(manifest.flags, dtype=bool)
     constant = (std == 0.0) & ~flags
     mean = np.where(flags, 0.0, mean)
     std = np.where(flags | constant, 1.0, std)
@@ -311,8 +311,9 @@ def matrix_from_csv(text: str) -> tuple[FeatureManifest, list[FeatureVector]]:
     Only the lines before the header are comments; a later row whose
     dashboard id starts with ``#`` is data.  A row with more or fewer
     cells than the header raises :class:`ManifestMismatch` naming the
-    row; a cell that is not a number raises ``ValueError`` and a NaN or
-    infinite value :class:`NonFiniteInput`, each naming row and column.
+    row; a repeated dashboard id raises ``ValueError`` naming it; a cell
+    that is not a number raises ``ValueError`` and a NaN or infinite
+    value :class:`NonFiniteInput`, each naming row and column.
     """
     reader = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), text.splitlines()))
     try:
@@ -323,6 +324,7 @@ def matrix_from_csv(text: str) -> tuple[FeatureManifest, list[FeatureVector]]:
         raise ValueError("feature CSV must start with a dashboard_id column")
     manifest = FeatureManifest(names=tuple(header[1:]))
     vectors = []
+    seen: set[str] = set()
     for row in reader:
         if not row:
             continue
@@ -330,6 +332,9 @@ def matrix_from_csv(text: str) -> tuple[FeatureManifest, list[FeatureVector]]:
             raise ManifestMismatch(
                 f"feature CSV row {row[0]!r} has {len(row) - 1} values, header has {len(header) - 1}"
             )
+        if row[0] in seen:
+            raise ValueError(f"feature CSV repeats dashboard id {row[0]!r}")
+        seen.add(row[0])
         try:
             values = tuple(map(float, row[1:]))
         except ValueError:

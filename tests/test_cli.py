@@ -533,6 +533,41 @@ def test_fit_scaler_rejects_a_column_whose_spread_overflows(tmp_path, capsys):
     assert not (out / "scaler.json").exists()
 
 
+def test_fit_scaler_and_scale_accept_a_csv_with_no_feature_columns(tmp_path):
+    (tmp_path / "features.csv").write_text("dashboard_id\na\nb\nc\n")
+    out = tmp_path / "out"
+    assert main(["fit-scaler", "--input", str(tmp_path / "features.csv"), "--out", str(out)]) == 0
+    scaler = json.loads((out / "scaler.json").read_text())
+    assert (scaler["manifest"], scaler["mean"], scaler["std"]) == ([], [], [])
+    argv = ["scale", "--input", str(tmp_path / "features.csv"), "--scaler", str(out / "scaler.json")]
+    assert main(argv + ["--out", str(out)]) == 0
+    lines = (out / "features_scaled.csv").read_text().splitlines()
+    assert [line for line in lines if not line.startswith("#")] == ["dashboard_id", "a", "b", "c"]
+
+
+def test_feature_csv_with_a_repeated_id_fails_every_reading_stage(tmp_path, capsys):
+    work = _fixture_graphs(tmp_path)
+    assert main(["features", "--input", str(work), "--out", str(work)]) == 0
+    assert main(["fit-scaler", "--input", str(work / "features.csv"), "--out", str(work)]) == 0
+    lines = (work / "features.csv").read_text().splitlines()
+    (tmp_path / "bad.csv").write_text("\n".join(lines + [lines[-1]]) + "\n")
+    repeated = lines[-1].split(",")[0]
+    bad = str(tmp_path / "bad.csv")
+    out = tmp_path / "out"
+    stages = {
+        "fit-scaler": ["fit-scaler", "--input", bad],
+        "scale": ["scale", "--input", bad, "--scaler", str(work / "scaler.json")],
+        "cluster": ["cluster", "--input", bad, "--min-cluster-size", "2"],
+    }
+    for stage, argv in stages.items():
+        assert main(argv + ["--out", str(out)]) == 2
+        error = _only_error(capsys)
+        assert (error["error"], error["stage"]) == ("SchemaViolation", stage)
+        assert error["message"].startswith("bad.csv: ")
+        assert f"repeats dashboard id {repeated!r}" in error["message"]
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("exc", [TypeError, AttributeError])
 @pytest.mark.parametrize(
     "stage, module, target",

@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -665,19 +666,15 @@ def test_each_distinct_row_pair_is_measured_once(monkeypatch):
     m = rows.values.shape[0]
     assert rows.bound.shape == (1, 1)  # no 0/1 column: one flag pattern
 
-    # Each unordered pair of unique rows once, plus the pairs inside each
-    # block, which both of their rows measure.
-    block = cluster._CORE_BLOCK
-    overlap = sum(b * (b - 1) // 2 for b in (min(block, m - lo) for lo in range(0, m, block)))
+    # One pattern, so ring 0 is every distinct row: each distinct row
+    # once, against the distinct rows.
     core = _core_distances(rows, 10)
-    assert len(calls) == m
-    assert sum(lengths()) == m * (m + 1) // 2 + overlap
+    assert lengths() == [m] * m
 
     # k above the block size: the same pass, the same counts.
     calls.clear()
     _core_distances(rows, 40)
-    assert len(calls) == m
-    assert sum(lengths()) == m * (m + 1) // 2 + overlap
+    assert lengths() == [m] * m
 
     # Prim: only each group's first row is measured, against groups, not
     # rows, and never against its own dead slot; the last group to join
@@ -738,11 +735,8 @@ def test_flag_pattern_bounds_skip_settled_rings(monkeypatch):
         flag_of = {row.tobytes(): f for row, f in zip(rows.values, rows.values[:, -3:])}
         rings = 0
         for V, x in flag_core_calls:
-            h = {int(np.sum(f != x[-3:])) for f in V[:, -3:]}
-            if h == {0}:
-                continue  # the own pattern's symmetric pass
-            (h,) = h
-            rings += 1
+            (h,) = {int(np.sum(f != x[-3:])) for f in V[:, -3:]}
+            rings += h > 0
             hamming = np.array([np.sum(f != x[-3:]) for f in flag_of.values()])
             assert {v.tobytes() for v in V} == {
                 key for key, d in zip(flag_of, hamming) if d == h
@@ -751,3 +745,22 @@ def test_flag_pattern_bounds_skip_settled_rings(monkeypatch):
             nearest = np.sort(_row_distances(closer, x))
             assert closer.shape[0] < k or nearest[k - 1] > math.sqrt(h)
         assert rings > 0
+
+
+def test_core_distance_candidates_live_one_pattern_at_a_time():
+    rng = np.random.default_rng(53)
+    continuous = np.round(rng.normal(size=(1200, 6)), 1)
+    flags = (rng.random((1200, 4)) < 0.5).astype(float)
+    rows = _unique_rows(np.column_stack([continuous, flags]))
+    m, k = rows.values.shape[0], 250
+    assert rows.bound.shape == (16, 16)
+
+    tracemalloc.start()
+    try:
+        _core_distances(rows, k)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # One (distance, weight) table over every distinct row would take
+    # m * k * 16 bytes; one pattern's table takes about a sixteenth.
+    assert peak < m * k * 16 / 2

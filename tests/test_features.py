@@ -173,6 +173,12 @@ def test_scaling_round_trip():
                     assert abs(x - y) <= 1e-12
 
 
+def test_fit_scaler_on_no_feature_columns_is_an_empty_scaler():
+    scaler = fit_scaler([_vec("a", []), _vec("b", [])], FeatureManifest(names=()))
+    assert (scaler.mean, scaler.std, scaler.constant) == ((), (), ())
+    assert apply_scaler(scaler, _vec("a", [])) == _vec("a", [])
+
+
 def test_fit_scaler_needs_two_vectors():
     with pytest.raises(EmptyCorpus):
         fit_scaler([_vec("a", [1, 2])], _manifest2())
@@ -251,6 +257,12 @@ def test_csv_blank_rows_are_skipped():
     spaced = "\n".join(lines[:2] + [""] + lines[2:] + [""]) + "\n"
     assert matrix_from_csv(spaced) == matrix_from_csv(text)
     assert matrix_from_csv(text)[1] == vectors
+
+
+def test_csv_rejects_a_repeated_dashboard_id():
+    text = matrix_to_csv([_vec("a", [2, 0]), _vec("b", [4, 1]), _vec("a", [6, 2])], _manifest2())
+    with pytest.raises(ValueError, match="feature CSV repeats dashboard id 'a'"):
+        matrix_from_csv(text)
 
 
 def test_manifest_json_round_trip():
