@@ -4,8 +4,9 @@ Feature vectors and corpus standard scaling
 
 Each dashboard becomes a 19-column vector: structural counts and means
 plus 0/1 presence flags for block types and interaction edge classes.
-Count columns are standard-scaled over the corpus (population variance);
-flags pass through untouched.
+Every column is scaled as (x - mean) / std over the corpus (population
+variance); flag columns are stored and checked as mean 0 and std 1, so
+the one formula leaves them unchanged.
 """
 
 import json

@@ -31,7 +31,6 @@ from .features import (
     default_manifest,
     extract_features,
     fit_scaler,
-    invert_scaler,
 )
 from .geometry import (
     Tolerance,

@@ -32,25 +32,26 @@ def maximal_cliques(
 ) -> list[tuple[str, ...]]:
     """All maximal cliques of a simple undirected graph.
 
-    Bron-Kerbosch with pivoting (Tomita et al. 2006), one call over the
-    whole vertex set.  Isolated nodes yield size-1 cliques.  Cliques are
-    returned as sorted member tuples, largest first (ties by member ids).
+    Bron-Kerbosch with pivoting (Tomita et al. 2006), one walk over the
+    whole vertex set on an explicit stack of ``(r, p, x)`` frames, so a
+    clique of any size needs no recursion.  Isolated nodes yield size-1
+    cliques.  Cliques are returned as sorted member tuples, largest first
+    (ties by member ids).
     """
     neighbors = _adjacency_sets(node_ids, edges)
     cliques: list[tuple[str, ...]] = []
-
-    def expand(r: set[str], p: set[str], x: set[str]) -> None:
+    # on no vertices, the first frame would report the empty clique
+    stack = [(set(), set(neighbors), set())] if neighbors else []
+    while stack:
+        r, p, x = stack.pop()
         if not p and not x:
             cliques.append(tuple(sorted(r)))
-            return
+            continue
         pivot = max(sorted(p | x), key=lambda u: len(p & neighbors[u]))
         for v in sorted(p - neighbors[pivot]):
-            expand(r | {v}, p & neighbors[v], x & neighbors[v])
+            stack.append((r | {v}, p & neighbors[v], x & neighbors[v]))
             p.remove(v)
             x.add(v)
-
-    if neighbors:  # on no vertices, expand would report the empty clique
-        expand(set(), set(neighbors), set())
 
     cliques.sort(key=lambda c: (-len(c), c))
     return cliques

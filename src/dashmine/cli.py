@@ -244,7 +244,8 @@ def _cmd_graph(args) -> int:
     if source.is_dir():
         source = source / "dashboards.ndjson"
     dashboards = []
-    for number, line in enumerate(_read(source, str.splitlines), start=1):
+    # NDJSON lines end at "\n" only: a raw U+2028 inside a JSON string is data
+    for number, line in enumerate(_read(source, str.split, "\n"), start=1):
         if line.strip():
             with _reading(f"{source.name}:{number}"):
                 dashboards.append(_from_json(line, model.dashboard_from_dict))

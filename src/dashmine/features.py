@@ -8,8 +8,9 @@ versioned artifacts: any subset or reordering of the registered feature
 names (including the complementary ``no_*`` absence flags) can be
 configured without code changes.
 
-Count-like columns are standard-scaled to zero mean and unit variance
-(population standard deviation); presence flags pass through untouched.
+Every column is scaled by the one formula ``(x - mean) / std``.  Count
+columns take their population mean and standard deviation; flag columns
+are stored, and checked, as mean 0 and std 1, which leaves them unchanged.
 """
 
 from __future__ import annotations
@@ -31,27 +32,13 @@ from .analysis import analyze_graphs, average_shortest_path, maximal_cliques  # 
 from .errors import EmptyCorpus, ManifestMismatch, NonFiniteInput
 from .model import BlockType, DashboardGraphs, EdgeClass
 
-_BLOCK_FLAGS = {
-    "chart": BlockType.CHART,
-    "text": BlockType.TEXT,
-    "filter": BlockType.FILTER,
-    "legend": BlockType.LEGEND,
-    "multimedia": BlockType.MULTIMEDIA,
-}
-
-_EDGE_FLAGS = {
-    "filter_chart_edge": EdgeClass.FILTER_TO_CHART,
-    "legend_chart_edge": EdgeClass.LEGEND_TO_CHART,
-    "chart_chart_edge": EdgeClass.CHART_TO_CHART,
-}
-
 
 def _build_feature_table(graphs: DashboardGraphs) -> dict[str, float]:
     record = analyze_graphs(graphs)
     adj = record["adjacency"]
     inter = record["interaction"]
-    present_types = {b.block_type for b in graphs.nodes}
-    present_classes = {e.edge_class for e in graphs.interaction_edges}
+    present = {b.block_type.value for b in graphs.nodes}
+    present |= {f"{e.edge_class.value}_edge" for e in graphs.interaction_edges}
     # Clique features consider groups of two or more blocks; a dashboard
     # whose adjacency graph has no edges has no cliques in this sense.
     n_cliques = adj["n_maximal_cliques_min2"]
@@ -69,14 +56,9 @@ def _build_feature_table(graphs: DashboardGraphs) -> dict[str, float]:
         "adj_n_maximal_cliques": float(n_cliques),
         "adj_mean_clique_size": adj["mean_clique_size_min2"],
     }
-    for name, block_type in _BLOCK_FLAGS.items():
-        flag = 1.0 if block_type in present_types else 0.0
-        table[f"has_{name}"] = flag
-        table[f"no_{name}"] = 1.0 - flag
-    for name, edge_class in _EDGE_FLAGS.items():
-        flag = 1.0 if edge_class in present_classes else 0.0
-        table[f"has_{name}"] = flag
-        table[f"no_{name}"] = 1.0 - flag
+    for name in [t.value for t in BlockType] + [f"{c.value}_edge" for c in EdgeClass]:
+        table[f"has_{name}"] = 1.0 if name in present else 0.0
+        table[f"no_{name}"] = 0.0 if name in present else 1.0
     return table
 
 
@@ -115,7 +97,7 @@ def _is_flag(name: str) -> bool:
 
 @dataclass(frozen=True)
 class FeatureManifest:
-    """Ordered, named feature columns; flags are exempt from scaling."""
+    """Ordered, named feature columns; flag columns scale with mean 0 and std 1."""
 
     names: tuple[str, ...]
     version: str = "1"
@@ -165,12 +147,12 @@ def extract_features(
 class Scaler:
     """Column-wise standard scaler fitted on a corpus.
 
-    Flag columns pass through; constant count columns are flagged and
-    scaled with a substitute std of 1, mapping them to all-zeros.
+    Flag columns hold mean 0 and std 1; constant count columns are
+    flagged and hold a substitute std of 1, mapping them to all-zeros.
 
     Construction checks one ``mean``, ``std`` and ``constant`` value per
-    manifest column (:class:`ManifestMismatch`), then that each mean and
-    std is finite (:class:`NonFiniteInput`) and each std positive
+    manifest column (:class:`ManifestMismatch`), finite moments
+    (:class:`NonFiniteInput`), positive stds and flags at mean 0, std 1
     (``ValueError``), naming the column; so every scaler can be applied.
     """
 
@@ -183,12 +165,18 @@ class Scaler:
         for key in ("mean", "std", "constant"):
             if len(getattr(self, key)) != len(self.manifest.names):
                 raise ManifestMismatch(f"scaler {key} does not hold one value per manifest column")
-        for name, mu, sigma in zip(self.manifest.names, self.mean, self.std):
+        columns = zip(self.manifest.names, self.manifest.flags, self.mean, self.std)
+        for name, flag, mu, sigma in columns:
             for key, value in (("mean", mu), ("std", sigma)):
                 if not math.isfinite(value):
                     raise NonFiniteInput(f"scaler {key} of column {name!r} is not a finite number")
             if sigma <= 0:
                 raise ValueError(f"scaler std of column {name!r} is {sigma!r}, not positive")
+            # a mean of -0.0 would turn a -0.0 flag cell into 0.0
+            if flag and (mu, math.copysign(1.0, mu), sigma) != (0.0, 1.0, 1.0):
+                raise ValueError(
+                    f"scaler flag column {name!r} has mean {mu!r} and std {sigma!r}, not 0 and 1"
+                )
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -249,7 +237,7 @@ def fit_scaler(
 
 
 def apply_scaler(scaler: Scaler, vector: FeatureVector) -> FeatureVector:
-    """Scale count columns to (x - mean) / std; flags pass through.
+    """Scale every column to (x - mean) / std; flags (mean 0, std 1) stay unchanged.
 
     A result that is not finite, such as a finite value near 1e308 whose
     difference or quotient overflows, raises :class:`NonFiniteInput`
@@ -259,26 +247,12 @@ def apply_scaler(scaler: Scaler, vector: FeatureVector) -> FeatureVector:
         raise ManifestMismatch(
             f"vector for {vector.dashboard_id} does not match the scaler manifest"
         )
-    flags = scaler.manifest.flags
-    values = tuple(
-        x if flag else (x - mu) / sigma
-        for x, mu, sigma, flag in zip(vector.values, scaler.mean, scaler.std, flags)
-    )
+    values = tuple((x - mu) / sigma for x, mu, sigma in zip(vector.values, scaler.mean, scaler.std))
     if not all(map(math.isfinite, values)):
         column = next(name for name, y in zip(scaler.manifest.names, values) if not math.isfinite(y))
         raise NonFiniteInput(
             f"scaled row {vector.dashboard_id!r}, column {column!r} is not a finite number"
         )
-    return FeatureVector(dashboard_id=vector.dashboard_id, values=values)
-
-
-def invert_scaler(scaler: Scaler, vector: FeatureVector) -> FeatureVector:
-    """Undo :func:`apply_scaler` (constant columns recover their mean)."""
-    flags = scaler.manifest.flags
-    values = tuple(
-        y if flag else y * sigma + mu
-        for y, mu, sigma, flag in zip(vector.values, scaler.mean, scaler.std, flags)
-    )
     return FeatureVector(dashboard_id=vector.dashboard_id, values=values)
 
 
@@ -315,7 +289,8 @@ def matrix_from_csv(text: str) -> tuple[FeatureManifest, list[FeatureVector]]:
     that is not a number raises ``ValueError`` and a NaN or infinite
     value :class:`NonFiniteInput`, each naming row and column.
     """
-    reader = csv.reader(itertools.dropwhile(lambda line: line.startswith("#"), text.splitlines()))
+    lines = itertools.dropwhile(lambda line: line.startswith("#"), io.StringIO(text))
+    reader = csv.reader(lines)  # the csv module's own line handling keeps quoted line breaks
     try:
         header = next(reader)
     except StopIteration:

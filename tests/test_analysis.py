@@ -1,5 +1,10 @@
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
 from dashmine.analysis import (
@@ -75,6 +80,23 @@ def test_cliques_match_golden_degeneracy_enumeration():
             (ids[i], ids[j]) for i in range(n) for j in range(i + 1, n) if rng.random() < density
         ]
         assert maximal_cliques(ids, pairs) == golden_maximal_cliques(ids, pairs)
+
+
+def test_a_clique_larger_than_the_recursion_limit_is_enumerated():
+    code = (
+        "import sys\n"
+        "from dashmine.analysis import maximal_cliques\n"
+        "sys.setrecursionlimit(200)\n"
+        "ids = [f'n{i:03d}' for i in range(300)]\n"
+        "edges = [(u, v) for i, u in enumerate(ids) for v in ids[i + 1:]]\n"
+        "assert maximal_cliques(ids, edges) == [tuple(ids)]\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_clique_maximality_and_coverage():

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import csv
+import io
 import json
 import re
 import shutil
@@ -441,6 +442,23 @@ def test_scale_rejects_a_scaler_that_cannot_be_applied(tmp_path, capsys, key, ed
     assert not (out / "features_scaled.csv").exists()
 
 
+def test_scale_rejects_a_scaler_whose_flag_column_is_not_mean_0_std_1(tmp_path, capsys):
+    work = _fixture_graphs(tmp_path)
+    assert main(["features", "--input", str(work), "--out", str(work)]) == 0
+    assert main(["fit-scaler", "--input", str(work / "features.csv"), "--out", str(work)]) == 0
+    doc = json.loads((work / "scaler.json").read_text())
+    doc["mean"][doc["manifest"].index("has_text")] = 0.5
+    (tmp_path / "scaler.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["scale", "--input", str(work / "features.csv"), "--scaler", str(tmp_path / "scaler.json")]
+    assert main(argv + ["--out", str(out)]) == 2
+    error = _only_error(capsys)
+    assert (error["error"], error["stage"]) == ("SchemaViolation", "scale")
+    assert error["message"].startswith("scaler.json: ")
+    assert "flag column 'has_text'" in error["message"]
+    assert not out.exists()
+
+
 @pytest.mark.parametrize(
     "edit, error_type, fragment",
     [
@@ -821,6 +839,39 @@ def test_labels_csv_round_trips_ids_with_commas(tmp_path):
     for line, row in zip(lines[2:], rows[1:]):
         if "," not in row[0] and '"' not in row[0]:
             assert line == ",".join(row)
+
+
+def test_an_id_with_a_line_break_reaches_labels_csv_unchanged(tmp_path):
+    docs = {x: json.loads((FIXTURES / f"fig_{x}.json").read_text()) for x in "abc"}
+    docs["c"]["id"] = "fig\nx"
+    for x, doc in docs.items():
+        (tmp_path / f"fig_{x}.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["parse", "--input", str(tmp_path), "--out", str(out)]) == 0
+    assert main(["graph", "--input", str(out), "--out", str(out)]) == 0
+    assert main(["features", "--input", str(out), "--out", str(out)]) == 0
+    assert main(["fit-scaler", "--input", str(out / "features.csv"), "--out", str(out)]) == 0
+    scale = ["scale", "--input", str(out / "features.csv"), "--scaler", str(out / "scaler.json")]
+    assert main(scale + ["--out", str(out)]) == 0
+    cluster_argv = ["cluster", "--input", str(out / "features_scaled.csv"), "--min-cluster-size", "2"]
+    assert main(cluster_argv + ["--out", str(out)]) == 0
+    text = (out / "labels.csv").read_text()
+    rows = list(csv.reader(line for line in io.StringIO(text) if not line.startswith("#")))
+    assert sorted(r[0] for r in rows[1:]) == ["fig\nx", "fig_a", "fig_b"]
+
+
+def test_graph_splits_dashboards_ndjson_on_line_feeds_only(tmp_path):
+    doc = json.loads((FIXTURES / "fig_b.json").read_text())
+    title = next(b for b in doc["blocks"] if b["type"] == "text")
+    title["props"]["content"] += "\u2028second line"
+    escaped, raw = tmp_path / "escaped", tmp_path / "raw"
+    for work, ascii_only in ((escaped, True), (raw, False)):
+        work.mkdir()
+        line = json.dumps(doc, ensure_ascii=ascii_only)
+        assert ("\u2028" in line) is not ascii_only
+        (work / "dashboards.ndjson").write_text(line + "\n")
+        assert main(["graph", "--input", str(work), "--out", str(work)]) == 0
+    assert (raw / "fig_b.graph.json").read_bytes() == (escaped / "fig_b.graph.json").read_bytes()
 
 
 def test_xml_inputs_give_same_graphs_as_json(tmp_path):
