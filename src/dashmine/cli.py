@@ -22,9 +22,17 @@ repeated or not safe as file names.  Artifacts are written atomically
 on stderr, remove the stage's earlier outputs and exit with status 2.
 An input that fails to decode (:func:`_reading`) fails so with a message
 that starts with its file name (``file:line`` for a ``dashboards.ndjson``
-line); a feature-CSV cell that is not a number is a ``SchemaViolation``,
-and ``cluster`` rejects values spread so far that a distance could
-overflow (``NonFiniteInput``).  The defaults of ``--out``, ``--format``,
+line).  Every JSON input (a ``.json`` document, a ``dashboards.ndjson``
+line, a graph file, ``--manifest``, ``--scaler``) goes through the one
+decoder, :func:`dashmine.model.from_json`, so the same bytes fail with
+the same error type and message after that prefix in every stage:
+``MalformedDocument`` with line and column for text that is not JSON,
+``SchemaViolation`` for nesting too deep, a document that is not an
+object, a missing key or a value of the wrong type or range.  A
+feature-CSV cell that is not a number, or a record the ``csv`` module
+cannot read, is a ``SchemaViolation`` too, and ``cluster`` rejects
+values spread so far that a distance could overflow
+(``NonFiniteInput``).  The defaults of ``--out``, ``--format``,
 ``--min-charts``, ``--tolerance`` and ``--min-cluster-size`` can be
 overridden with a ``DASHMINE_<OPTION>`` environment variable (e.g.
 ``DASHMINE_TOLERANCE``); every command reads them all, so an integer
@@ -42,6 +50,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, Sequence
@@ -154,14 +163,6 @@ def _reading(where: str) -> Iterator[None]:
         raise SchemaViolation(f"{type(exc).__name__}: {exc}", path=where) from exc
 
 
-def _from_json(text: str, from_dict: Callable[[dict], Any]) -> Any:
-    """``from_dict`` of a JSON object; runs inside :func:`_reading`."""
-    obj = json.loads(text)
-    if not isinstance(obj, dict):
-        raise SchemaViolation(f"document is a JSON {type(obj).__name__}, not an object")
-    return from_dict(obj)
-
-
 def _read(path: Path, decode: Callable[..., Any], *args: Any) -> Any:
     """``decode(text, *args)`` of the file ``path``, inside :func:`_reading`."""
     with _reading(path.name):
@@ -188,7 +189,7 @@ def _load_graph_docs(patterns: Sequence[str]) -> list[model.DashboardGraphs]:
     graph_paths = [p for p in paths if p.name.endswith(".graph.json")]
     if not graph_paths:
         raise FileNotFoundError("no *.graph.json inputs found")
-    docs = [_read(p, _from_json, model.graphs_from_dict) for p in graph_paths]
+    docs = [_read(p, model.from_json, model.graphs_from_dict) for p in graph_paths]
     _check_ids([g.dashboard_id for g in docs])
     docs.sort(key=lambda g: g.dashboard_id)
     return docs
@@ -197,13 +198,17 @@ def _load_graph_docs(patterns: Sequence[str]) -> list[model.DashboardGraphs]:
 def _check_ids(ids: Sequence[str]) -> None:
     """Dashboard ids name per-dashboard files (``<id>.graph.json``,
     ``<id>.analysis.json``), so they must be unique and must not reach
-    outside the output directory."""
+    outside the output directory.  They also lead the feature CSV's rows,
+    and ``csv.writer`` leaves a carriage return unquoted, which splits the
+    row on reading, so an id must not hold one."""
     seen: set[str] = set()
     for dash_id in ids:
         if dash_id in seen:
             raise SchemaViolation(f"duplicate dashboard id across corpus: {dash_id}")
         if dash_id in ("", ".", "..") or "/" in dash_id or "\\" in dash_id:
             raise SchemaViolation(f"dashboard id is not safe as a file name: {dash_id!r}")
+        if "\r" in dash_id:
+            raise SchemaViolation(f"dashboard id holds a carriage return, which splits its CSV row: {dash_id!r}")
         seen.add(dash_id)
 
 
@@ -248,7 +253,7 @@ def _cmd_graph(args) -> int:
     for number, line in enumerate(_read(source, str.split, "\n"), start=1):
         if line.strip():
             with _reading(f"{source.name}:{number}"):
-                dashboards.append(_from_json(line, model.dashboard_from_dict))
+                dashboards.append(model.from_json(line, model.dashboard_from_dict))
     _check_ids([d.id for d in dashboards])
     with _Outputs(args.out, fp) as out:
         for d in dashboards:
@@ -271,7 +276,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_features(args) -> int:
     manifest = features.default_manifest()
     if args.manifest is not None:
-        manifest = _read(Path(args.manifest), _from_json, features.FeatureManifest.from_dict)
+        manifest = _read(Path(args.manifest), model.from_json, features.FeatureManifest.from_dict)
     fp = _fingerprint(
         {"stage": "features", "manifest": list(manifest.names), "version": manifest.version}
     )
@@ -296,7 +301,7 @@ def _cmd_fit_scaler(args) -> int:
 def _cmd_scale(args) -> int:
     fp = _fingerprint({"stage": "scale"})
     manifest, vectors = _read(Path(args.input), features.matrix_from_csv)
-    scaler = _read(Path(args.scaler), _from_json, features.Scaler.from_dict)
+    scaler = _read(Path(args.scaler), model.from_json, features.Scaler.from_dict)
     if scaler.manifest.names != manifest.names:
         raise features.ManifestMismatch("scaler manifest does not match the feature CSV header")
     scaled = [features.apply_scaler(scaler, v) for v in vectors]
@@ -313,12 +318,13 @@ def _parse_sweep(spec: str) -> list[int]:
         key, _, grid = grid.partition("=")
         if key != "min_cluster_size":
             raise ValueError(f"unknown sweep parameter: {key!r}")
-    bounds, _, step = grid.partition(":")
-    lo, _, hi = bounds.partition("..")
-    step_n = int(step) if step else 1
-    if step_n <= 0:
+    match = re.fullmatch(r"(\d+)\.\.(\d+)(?::(\d+))?", grid)
+    if match is None:
+        raise ValueError(f"sweep spec is not [min_cluster_size=]LO..HI[:STEP]: {spec!r}")
+    lo, hi, step = (int(n) for n in match.groups(default="1"))
+    if step == 0:
         raise ValueError(f"sweep step must be positive: {spec!r}")
-    sizes = list(range(int(lo), int(hi) + 1, step_n))
+    sizes = list(range(lo, hi + 1, step))
     if not sizes:
         raise ValueError(f"sweep range is empty: {spec!r}")
     return sizes

@@ -20,7 +20,7 @@ import io
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Any, Mapping, Sequence
+from typing import Any, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -279,6 +279,23 @@ def matrix_to_csv(
     return buf.getvalue()
 
 
+def _is_comment(line: str) -> bool:
+    return line.startswith("#")
+
+
+def _records(text: str) -> Iterator[list[str]]:
+    """The CSV records of ``text`` after its leading ``#`` comment lines; a
+    record the ``csv`` module cannot read (a cell over its field limit)
+    raises ``ValueError`` naming the line where reading stopped."""
+    # the csv module's own line handling keeps quoted line breaks
+    reader = csv.reader(itertools.dropwhile(_is_comment, io.StringIO(text)))
+    try:
+        yield from reader
+    except csv.Error as exc:
+        comments = sum(1 for _ in itertools.takewhile(_is_comment, io.StringIO(text)))
+        raise ValueError(f"feature CSV line {comments + reader.line_num} cannot be read: {exc}") from None
+
+
 def matrix_from_csv(text: str) -> tuple[FeatureManifest, list[FeatureVector]]:
     """Parse a feature matrix CSV (leading ``#`` comment lines allowed).
 
@@ -287,10 +304,10 @@ def matrix_from_csv(text: str) -> tuple[FeatureManifest, list[FeatureVector]]:
     cells than the header raises :class:`ManifestMismatch` naming the
     row; a repeated dashboard id raises ``ValueError`` naming it; a cell
     that is not a number raises ``ValueError`` and a NaN or infinite
-    value :class:`NonFiniteInput`, each naming row and column.
+    value :class:`NonFiniteInput`, each naming row and column; a record
+    the ``csv`` module cannot read raises ``ValueError`` naming its line.
     """
-    lines = itertools.dropwhile(lambda line: line.startswith("#"), io.StringIO(text))
-    reader = csv.reader(lines)  # the csv module's own line handling keeps quoted line breaks
+    reader = _records(text)
     try:
         header = next(reader)
     except StopIteration:

@@ -9,11 +9,14 @@ Two input formats are supported:
   :mod:`dashmine.model`.
 
 :func:`parse_workbook` returns the document's dashboards, all decoded by
-:func:`dashmine.model.dashboard_from_dict`: each XML ``<dashboard>`` is
-mapped to its canonical document first (``<zone>`` to block, with a
-chart's ``vis_type`` inferred from its worksheet; ``<action>`` to
-interaction), so every field rule lives in :mod:`dashmine.model` and
-fails alike in both formats.  Datasources are checked but not kept.
+:func:`dashmine.model.dashboard_from_dict`: a JSON document through
+:func:`dashmine.model.from_json`, like every JSON input of the package,
+and each XML ``<dashboard>`` mapped to its canonical document first
+(``<zone>`` to block, with a chart's ``vis_type`` inferred from its
+worksheet; ``<action>`` to interaction) through ``from_json``'s from-dict
+half, :func:`dashmine.model.decode`.  So every field rule, and the error
+a bad field raises, lives in :mod:`dashmine.model` and reads alike in
+both formats.  Datasources are checked but not kept.
 
 Only the XML rules stay here: required and integer attributes, worksheet
 references and zone kinds.  An unknown zone kind raises
@@ -23,13 +26,12 @@ and nothing else, to a multimedia block of kind ``other``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import IO, Any, Iterable, Mapping
 from xml.etree import ElementTree as ET
 
 from .errors import MalformedDocument, SchemaViolation
-from .model import BlockType, Dashboard, dashboard_from_dict, infer_vis_type
+from .model import BlockType, Dashboard, dashboard_from_dict, decode, from_json, infer_vis_type
 
 ENCODING_CHANNELS = ("row", "column", "color", "size", "label", "detail", "geo")
 
@@ -106,14 +108,6 @@ def filter_corpus(dashboards: Iterable[Dashboard], min_charts: int = 2) -> list[
     ]
 
 
-def _decode(doc: Any, path: str | None = None) -> Dashboard:
-    """The one decoder of both formats; a bad field is a :class:`SchemaViolation` at ``path``."""
-    try:
-        return dashboard_from_dict(doc)
-    except (AttributeError, KeyError, TypeError, ValueError, OverflowError) as exc:
-        raise SchemaViolation(f"canonical dashboard document invalid: {exc}", path) from exc
-
-
 # --- XML subset -------------------------------------------------------------
 
 
@@ -163,7 +157,7 @@ def _parse_dashboard_xml(
         for i, a in enumerate(element.findall("action"))
     ]
     doc.update((attr, _int_attr(element, attr, path)) for attr in ("width", "height") if attr in element.attrib)
-    return _decode(doc, path)
+    return decode(doc, dashboard_from_dict, path)
 
 
 def _parse_workbook_xml(data: bytes, strict: bool) -> tuple[Dashboard, ...]:
@@ -196,18 +190,6 @@ def _parse_workbook_xml(data: bytes, strict: bool) -> tuple[Dashboard, ...]:
     )
 
 
-def _parse_workbook_json(data: bytes) -> tuple[Dashboard, ...]:
-    try:
-        obj = json.loads(data)
-    except json.JSONDecodeError as exc:
-        raise MalformedDocument(f"JSON syntax error: {exc.msg}", exc.lineno, exc.colno) from exc
-    except UnicodeDecodeError as exc:
-        raise MalformedDocument(f"JSON text is not valid {exc.encoding}: {exc.reason} at byte {exc.start}") from exc
-    except RecursionError:
-        raise SchemaViolation("JSON nested deeper than the decoder goes") from None
-    return (_decode(obj),)
-
-
 def parse_workbook(document: bytes | str | IO[bytes], format: str = "xml", strict: bool = True) -> tuple[Dashboard, ...]:
     """Parse a workbook document into its dashboards, in document order.
 
@@ -221,5 +203,5 @@ def parse_workbook(document: bytes | str | IO[bytes], format: str = "xml", stric
     if format == "xml":
         return _parse_workbook_xml(data, strict)
     if format == "json":
-        return _parse_workbook_json(data)
+        return (from_json(data, dashboard_from_dict),)
     raise ValueError(f"unknown format: {format!r}")

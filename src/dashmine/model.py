@@ -16,16 +16,23 @@ the rules of :func:`validate`, and a :class:`DashboardGraphs` checks its
 nodes and edges, each raising :class:`SchemaViolation` naming the
 dashboard.  So a dashboard or graph pair that exists is well-formed,
 whether it came from a document, a graph file or library code.
+
+:func:`from_json` is the one JSON decoder: every JSON input (a dashboard
+document, a ``dashboards.ndjson`` line, a graph file, a feature manifest,
+a scaler) goes through it, so each fails with the same error types and
+messages.  :func:`decode` is its from-dict half, which the workbook XML
+reader also ends in.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Mapping, Union
 
-from .errors import SchemaViolation
+from .errors import MalformedDocument, SchemaViolation
 
 
 class BlockType(str, Enum):
@@ -515,3 +522,43 @@ def graphs_from_dict(obj: Mapping[str, Any]) -> DashboardGraphs:
             for e in obj.get("interaction", ())
         ),
     )
+
+
+# --- decoding -----------------------------------------------------------------
+
+
+def decode(obj: Any, from_dict: Callable[[Mapping[str, Any]], Any], path: str | None = None) -> Any:
+    """``from_dict(obj)``, where a missing key or a value of the wrong type
+    or range is a :class:`SchemaViolation` at ``path``; the package's own
+    errors (a :class:`Dashboard` rule, say) pass through unchanged."""
+    try:
+        return from_dict(obj)
+    except KeyError as exc:
+        raise SchemaViolation(f"missing key {exc}", path) from exc
+    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+        raise SchemaViolation(f"{type(exc).__name__}: {exc}", path) from exc
+
+
+def from_json(data: str | bytes, from_dict: Callable[[Mapping[str, Any]], Any], path: str | None = None) -> Any:
+    """``from_dict`` of the JSON object ``data`` (str, or bytes in an encoding ``json`` detects).
+
+    Text that is not JSON, or bytes that do not decode, is a
+    :class:`MalformedDocument` (with line and column for a syntax error);
+    nesting deeper than the decoder goes, a number ``json`` cannot
+    convert, or a document that is not an object is a
+    :class:`SchemaViolation` at ``path``, and the object then goes
+    through :func:`decode`.
+    """
+    try:
+        obj = json.loads(data)
+    except json.JSONDecodeError as exc:
+        raise MalformedDocument(f"JSON syntax error: {exc.msg}", exc.lineno, exc.colno) from exc
+    except UnicodeDecodeError as exc:
+        raise MalformedDocument(f"JSON text is not valid {exc.encoding}: {exc.reason} at byte {exc.start}") from exc
+    except RecursionError:
+        raise SchemaViolation("JSON nested deeper than the decoder goes", path) from None
+    except ValueError as exc:  # an integer literal longer than int() converts
+        raise SchemaViolation(f"ValueError: {exc}", path) from exc
+    if not isinstance(obj, dict):
+        raise SchemaViolation(f"document is a JSON {type(obj).__name__}, not an object", path)
+    return decode(obj, from_dict, path)

@@ -251,11 +251,15 @@ def test_malformed_graph_document_is_a_schema_violation_naming_the_file(tmp_path
     graphs.mkdir()
     (graphs / "d1.graph.json").write_text(MALFORMED_GRAPH_DOCS[case])
     out = tmp_path / "out"
+    # text that is not JSON is the one fault of another type, as in every JSON input
+    error_type = "MalformedDocument" if case == "truncated-json" else "SchemaViolation"
     for stage in ("analyze", "lint"):
         assert main([stage, "--input", str(graphs), "--out", str(out)]) == 2
         error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
-        assert (error["error"], error["stage"]) == ("SchemaViolation", stage)
+        assert (error["error"], error["stage"]) == (error_type, stage)
         assert error["message"].startswith("d1.graph.json: ")
+        if case == "truncated-json":
+            assert error["message"].endswith("(line 1, column 13)")
         assert not out.exists()
 
 
@@ -586,6 +590,28 @@ def test_feature_csv_with_a_repeated_id_fails_every_reading_stage(tmp_path, caps
         assert not out.exists()
 
 
+def test_feature_csv_cell_over_the_csv_field_limit_fails_every_reading_stage(tmp_path, capsys):
+    work = _fixture_graphs(tmp_path)
+    assert main(["features", "--input", str(work), "--out", str(work)]) == 0
+    assert main(["fit-scaler", "--input", str(work / "features.csv"), "--out", str(work)]) == 0
+    # line 1 is the fingerprint comment, line 2 the header, line 3 fig_a's row
+    text = (work / "features.csv").read_text()
+    (tmp_path / "big.csv").write_text(text.replace("\nfig_a,", "\n" + "x" * 200_000 + ",", 1))
+    big = str(tmp_path / "big.csv")
+    out = tmp_path / "out"
+    stages = {
+        "fit-scaler": ["fit-scaler", "--input", big],
+        "scale": ["scale", "--input", big, "--scaler", str(work / "scaler.json")],
+        "cluster": ["cluster", "--input", big, "--min-cluster-size", "2"],
+    }
+    for stage, argv in stages.items():
+        assert main(argv + ["--out", str(out)]) == 2
+        error = _only_error(capsys)
+        assert (error["error"], error["stage"]) == ("SchemaViolation", stage)
+        assert error["message"].startswith("big.csv: ValueError: feature CSV line 3 cannot be read: field larger")
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("exc", [TypeError, AttributeError])
 @pytest.mark.parametrize(
     "stage, module, target",
@@ -790,7 +816,11 @@ def test_cluster_sweep(tmp_path):
 
 @pytest.mark.parametrize(
     "spec",
-    ["min_cluster_size=40..20", "20..40:-5", "min_cluster_size=20..40:0"],
+    [
+        "min_cluster_size=40..20", "20..40:-5", "min_cluster_size=20..40:0",
+        # not [min_cluster_size=]LO..HI[:STEP] at all
+        "5", "a..b", "2..3:x", "min_cluster_size=2", "2..3:", "2...3", "2..3:1:1", "1.5..3",
+    ],
 )
 def test_cluster_sweep_rejects_empty_range_and_bad_step(tmp_path, capsys, spec):
     matrix = tmp_path / "features_scaled.csv"
@@ -858,6 +888,22 @@ def test_an_id_with_a_line_break_reaches_labels_csv_unchanged(tmp_path):
     text = (out / "labels.csv").read_text()
     rows = list(csv.reader(line for line in io.StringIO(text) if not line.startswith("#")))
     assert sorted(r[0] for r in rows[1:]) == ["fig\nx", "fig_a", "fig_b"]
+
+
+def test_an_id_holding_a_carriage_return_fails_parse_and_graph(tmp_path, capsys):
+    # csv.writer leaves "\r" unquoted, so such an id would split its feature CSV row
+    doc = json.loads((FIXTURES / "fig_c.json").read_text())
+    doc["id"] = "fig\rx"
+    (tmp_path / "fig_c.json").write_text(json.dumps(doc))
+    (tmp_path / "dashboards.ndjson").write_text(json.dumps(doc) + "\n")
+    message = "dashboard id holds a carriage return, which splits its CSV row: 'fig\\rx'"
+    for stage in ("parse", "graph"):
+        source = tmp_path / ("fig_c.json" if stage == "parse" else "dashboards.ndjson")
+        out = tmp_path / f"out-{stage}"
+        assert main([stage, "--input", str(source), "--out", str(out)]) == 2
+        error = _only_error(capsys)
+        assert (error["error"], error["stage"], error["message"]) == ("SchemaViolation", stage, message)
+        assert not out.exists()
 
 
 def test_graph_splits_dashboards_ndjson_on_line_feeds_only(tmp_path):
@@ -1030,3 +1076,40 @@ def test_cluster_rejects_finite_values_whose_distances_could_overflow(tmp_path, 
             assert (error["error"], error["stage"]) == ("NonFiniteInput", "cluster")
             assert "overflow" in error["message"]
             assert not out.exists()
+
+
+# Every JSON input goes through one decoder.  input: (argv, with {i} for the
+# inputs directory; the file rewritten; the key its decoder reads first;
+# the message's prefix)
+JSON_INPUTS = {
+    "parse": (PARSE, "d1.json", "id", "d1.json: "),
+    "graph": (GRAPH, "dashboards.ndjson", "id", "dashboards.ndjson:1: "),
+    "analyze": (["analyze", "--input", "{i}"], "fig_a.graph.json", "dashboard_id", "fig_a.graph.json: "),
+    "features": (
+        ["features", "--input", "{i}", "--manifest", "{i}/manifest.json"], "manifest.json", "names", "manifest.json: "
+    ),
+    "scale": (SCALE, "scaler.json", "manifest", "scaler.json: "),
+}
+# fault: (the input's whole text, the error type, the message after the prefix)
+JSON_FAULTS = {
+    "truncated": ('{"id": "d1"', "MalformedDocument", "JSON syntax error: Expecting ',' delimiter (line 1, column 12)"),
+    "array": ("[1, 2]", "SchemaViolation", "document is a JSON list, not an object"),
+    "deep": (DEEP, "SchemaViolation", "JSON nested deeper than the decoder goes"),
+    "empty-object": ("{}", "SchemaViolation", "missing key '{key}'"),
+}
+
+
+@pytest.mark.parametrize("stage", list(JSON_INPUTS))
+@pytest.mark.parametrize("fault", list(JSON_FAULTS))
+def test_a_json_fault_fails_alike_in_every_json_input(tmp_path, capsys, pipeline_inputs, fault, stage):
+    argv, name, key, prefix = JSON_INPUTS[stage]
+    text, error_type, message = JSON_FAULTS[fault]
+    inputs = tmp_path / "inputs"
+    shutil.copytree(pipeline_inputs, inputs)
+    (inputs / name).write_text(text)
+    out = tmp_path / "out"
+    assert main([arg.replace("{i}", str(inputs)) for arg in argv] + ["--out", str(out)]) == 2
+    error = _only_error(capsys)
+    assert (error["error"], error["stage"]) == (error_type, stage)
+    assert error["message"] == prefix + message.format(key=key)
+    assert not out.exists()

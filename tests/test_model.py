@@ -18,6 +18,7 @@ from dashmine.model import (
     TextProps,
     dashboard_from_dict,
     dashboard_to_dict,
+    from_json,
     graphs_from_dict,
     graphs_to_dict,
     infer_vis_type,
@@ -289,3 +290,20 @@ def test_infer_vis_type_rules():
     assert infer_vis_type([], [("row", "a")]) == "unknown"
     # geo wins over any mark rule
     assert infer_vis_type(["bar"], [("geo", "x")]) == "map"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[" * 100_000 + "]" * 100_000, "d: JSON nested deeper than the decoder goes"),
+        ('{"id": ' + "1" * 5000 + "}", "d: ValueError: Exceeds the limit"),
+        ('"d1"', "d: document is a JSON str, not an object"),
+        ("{}", "d: missing key 'id'"),
+        ('{"id": "d1", "blocks": 5}', "d: TypeError: 'int' object is not iterable"),
+    ],
+    ids=["deep", "long-integer", "string", "missing-key", "type"],
+)
+def test_from_json_faults_are_schema_violations_at_the_path(text, message):
+    with pytest.raises(SchemaViolation) as info:
+        from_json(text, dashboard_from_dict, path="d")
+    assert str(info.value).startswith(message)
