@@ -23,10 +23,11 @@ on stderr, remove the stage's earlier outputs and exit with status 2.
 An input that fails to decode (:func:`_reading`) fails so with a message
 that starts with its file name (``file:line`` for a ``dashboards.ndjson``
 line).  Every JSON input (a ``.json`` document, a ``dashboards.ndjson``
-line, a graph file, ``--manifest``, ``--scaler``) goes through the one
-decoder, :func:`dashmine.model.from_json`, so the same bytes fail with
-the same error type and message after that prefix in every stage:
-``MalformedDocument`` with line and column for text that is not JSON,
+line, a graph file, ``--manifest``, ``--scaler``) goes as bytes through
+the one decoder, :func:`dashmine.model.from_json`, so the same bytes
+fail with the same error type and message after that prefix in every
+stage: ``MalformedDocument`` for bytes that are not valid UTF-8 and,
+with line and column, for text that is not JSON,
 ``SchemaViolation`` for nesting too deep, a document that is not an
 object, a missing key or a value of the wrong type or range.  A
 feature-CSV cell that is not a number, or a record the ``csv`` module
@@ -147,26 +148,32 @@ def _reading(where: str) -> Iterator[None]:
     The package's own errors keep their type, line and column and gain
     ``where`` at the front of their message; a missing key, a value of
     the wrong type or range, or nesting too deep becomes a
-    :class:`SchemaViolation` naming ``where``.  Wrap reading and decoding
-    only, never a computation, so a program bug never reads as bad input.
+    :class:`SchemaViolation` naming ``where`` (:func:`dashmine.model.decoding`).
+    Wrap reading and decoding only, never a computation, so a program bug
+    never reads as bad input.
     """
     try:
-        yield
+        with model.decoding():
+            yield
     except DashmineError as exc:
         exc.args = (f"{where}: {exc}",)
         if isinstance(exc, SchemaViolation):
             exc.path = f"{where}: {exc.path}" if exc.path else where
         raise
-    except KeyError as exc:
-        raise SchemaViolation(f"missing key {exc}", path=where) from exc
-    except (AttributeError, TypeError, ValueError, OverflowError, RecursionError) as exc:
-        raise SchemaViolation(f"{type(exc).__name__}: {exc}", path=where) from exc
 
 
-def _read(path: Path, decode: Callable[..., Any], *args: Any) -> Any:
-    """``decode(text, *args)`` of the file ``path``, inside :func:`_reading`."""
+def _read_json(path: Path, from_dict: Callable[[Any], Any]) -> Any:
+    """``from_dict`` of the JSON file ``path``, inside :func:`_reading`.  Its
+    bytes go to :func:`dashmine.model.from_json`, which detects their
+    encoding, as it does for a ``parse`` document."""
     with _reading(path.name):
-        return decode(path.read_text(), *args)
+        return model.from_json(path.read_bytes(), from_dict)
+
+
+def _read_matrix(path: Path) -> tuple[features.FeatureManifest, list[features.FeatureVector]]:
+    """The feature CSV ``path``, read as text, inside :func:`_reading`."""
+    with _reading(path.name):
+        return features.matrix_from_csv(path.read_text())
 
 
 def _expand_inputs(patterns: Sequence[str], suffixes: tuple[str, ...]) -> list[Path]:
@@ -189,7 +196,7 @@ def _load_graph_docs(patterns: Sequence[str]) -> list[model.DashboardGraphs]:
     graph_paths = [p for p in paths if p.name.endswith(".graph.json")]
     if not graph_paths:
         raise FileNotFoundError("no *.graph.json inputs found")
-    docs = [_read(p, model.from_json, model.graphs_from_dict) for p in graph_paths]
+    docs = [_read_json(p, model.graphs_from_dict) for p in graph_paths]
     _check_ids([g.dashboard_id for g in docs])
     docs.sort(key=lambda g: g.dashboard_id)
     return docs
@@ -249,8 +256,9 @@ def _cmd_graph(args) -> int:
     if source.is_dir():
         source = source / "dashboards.ndjson"
     dashboards = []
-    # NDJSON lines end at "\n" only: a raw U+2028 inside a JSON string is data
-    for number, line in enumerate(_read(source, str.split, "\n"), start=1):
+    # NDJSON lines end at "\n" only: a "\r" is JSON whitespace, a raw U+2028
+    # inside a JSON string is data
+    for number, line in enumerate(source.read_bytes().split(b"\n"), start=1):
         if line.strip():
             with _reading(f"{source.name}:{number}"):
                 dashboards.append(model.from_json(line, model.dashboard_from_dict))
@@ -276,7 +284,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_features(args) -> int:
     manifest = features.default_manifest()
     if args.manifest is not None:
-        manifest = _read(Path(args.manifest), model.from_json, features.FeatureManifest.from_dict)
+        manifest = _read_json(Path(args.manifest), features.FeatureManifest.from_dict)
     fp = _fingerprint(
         {"stage": "features", "manifest": list(manifest.names), "version": manifest.version}
     )
@@ -289,7 +297,7 @@ def _cmd_features(args) -> int:
 
 
 def _cmd_fit_scaler(args) -> int:
-    manifest, vectors = _read(Path(args.input), features.matrix_from_csv)
+    manifest, vectors = _read_matrix(Path(args.input))
     fp = _fingerprint({"stage": "fit-scaler", "manifest": list(manifest.names)})
     scaler = features.fit_scaler(vectors, manifest)
     with _Outputs(args.out, fp) as out:
@@ -300,8 +308,8 @@ def _cmd_fit_scaler(args) -> int:
 
 def _cmd_scale(args) -> int:
     fp = _fingerprint({"stage": "scale"})
-    manifest, vectors = _read(Path(args.input), features.matrix_from_csv)
-    scaler = _read(Path(args.scaler), model.from_json, features.Scaler.from_dict)
+    manifest, vectors = _read_matrix(Path(args.input))
+    scaler = _read_json(Path(args.scaler), features.Scaler.from_dict)
     if scaler.manifest.names != manifest.names:
         raise features.ManifestMismatch("scaler manifest does not match the feature CSV header")
     scaled = [features.apply_scaler(scaler, v) for v in vectors]
@@ -331,7 +339,7 @@ def _parse_sweep(spec: str) -> list[int]:
 
 
 def _cmd_cluster(args) -> int:
-    manifest, vectors = _read(Path(args.input), features.matrix_from_csv)
+    manifest, vectors = _read_matrix(Path(args.input))
     ids = [v.dashboard_id for v in vectors]
     matrix = [list(v.values) for v in vectors]
 

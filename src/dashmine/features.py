@@ -279,20 +279,23 @@ def matrix_to_csv(
     return buf.getvalue()
 
 
-def _is_comment(line: str) -> bool:
-    return line.startswith("#")
-
-
 def _records(text: str) -> Iterator[list[str]]:
     """The CSV records of ``text`` after its leading ``#`` comment lines; a
     record the ``csv`` module cannot read (a cell over its field limit)
     raises ``ValueError`` naming the line where reading stopped."""
+    lines = io.StringIO(text)
+    comments = 0
+    for line in lines:
+        if not line.startswith("#"):
+            break
+        comments += 1
+    else:
+        return
     # the csv module's own line handling keeps quoted line breaks
-    reader = csv.reader(itertools.dropwhile(_is_comment, io.StringIO(text)))
+    reader = csv.reader(itertools.chain((line,), lines))
     try:
         yield from reader
     except csv.Error as exc:
-        comments = sum(1 for _ in itertools.takewhile(_is_comment, io.StringIO(text)))
         raise ValueError(f"feature CSV line {comments + reader.line_num} cannot be read: {exc}") from None
 
 

@@ -13,10 +13,10 @@ Two input formats are supported:
 :func:`dashmine.model.from_json`, like every JSON input of the package,
 and each XML ``<dashboard>`` mapped to its canonical document first
 (``<zone>`` to block, with a chart's ``vis_type`` inferred from its
-worksheet; ``<action>`` to interaction) through ``from_json``'s from-dict
-half, :func:`dashmine.model.decode`.  So every field rule, and the error
-a bad field raises, lives in :mod:`dashmine.model` and reads alike in
-both formats.  Datasources are checked but not kept.
+worksheet; ``<action>`` to interaction) inside
+:func:`dashmine.model.decoding`, as ``from_json`` decodes.  So every
+field rule, and the error a bad field raises, lives in
+:mod:`dashmine.model` and reads alike in both formats.  Datasources are checked but not kept.
 
 Only the XML rules stay here: required and integer attributes, worksheet
 references and zone kinds.  An unknown zone kind raises
@@ -31,7 +31,7 @@ from typing import IO, Any, Iterable, Mapping
 from xml.etree import ElementTree as ET
 
 from .errors import MalformedDocument, SchemaViolation
-from .model import BlockType, Dashboard, dashboard_from_dict, decode, from_json, infer_vis_type
+from .model import BlockType, Dashboard, dashboard_from_dict, decoding, from_json, infer_vis_type
 
 ENCODING_CHANNELS = ("row", "column", "color", "size", "label", "detail", "geo")
 
@@ -157,7 +157,8 @@ def _parse_dashboard_xml(
         for i, a in enumerate(element.findall("action"))
     ]
     doc.update((attr, _int_attr(element, attr, path)) for attr in ("width", "height") if attr in element.attrib)
-    return decode(doc, dashboard_from_dict, path)
+    with decoding(path):
+        return dashboard_from_dict(doc)
 
 
 def _parse_workbook_xml(data: bytes, strict: bool) -> tuple[Dashboard, ...]:

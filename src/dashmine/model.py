@@ -20,17 +20,19 @@ whether it came from a document, a graph file or library code.
 :func:`from_json` is the one JSON decoder: every JSON input (a dashboard
 document, a ``dashboards.ndjson`` line, a graph file, a feature manifest,
 a scaler) goes through it, so each fails with the same error types and
-messages.  :func:`decode` is its from-dict half, which the workbook XML
-reader also ends in.
+messages.  Its from-dict half, like the workbook XML reader's, runs
+inside :func:`decoding`, the one rule that turns a missing key or a bad
+value into a :class:`SchemaViolation`.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import json
 from dataclasses import dataclass
 from enum import Enum
-from typing import Any, Callable, Iterable, Mapping, Union
+from typing import Any, Callable, Iterable, Iterator, Mapping, Union
 
 from .errors import MalformedDocument, SchemaViolation
 
@@ -527,27 +529,28 @@ def graphs_from_dict(obj: Mapping[str, Any]) -> DashboardGraphs:
 # --- decoding -----------------------------------------------------------------
 
 
-def decode(obj: Any, from_dict: Callable[[Mapping[str, Any]], Any], path: str | None = None) -> Any:
-    """``from_dict(obj)``, where a missing key or a value of the wrong type
-    or range is a :class:`SchemaViolation` at ``path``; the package's own
+@contextlib.contextmanager
+def decoding(path: str | None = None) -> Iterator[None]:
+    """Decode inside: a missing key or a value of the wrong type or range
+    becomes a :class:`SchemaViolation` at ``path``; the package's own
     errors (a :class:`Dashboard` rule, say) pass through unchanged."""
     try:
-        return from_dict(obj)
+        yield
     except KeyError as exc:
         raise SchemaViolation(f"missing key {exc}", path) from exc
-    except (AttributeError, TypeError, ValueError, OverflowError) as exc:
+    except (AttributeError, TypeError, ValueError, OverflowError, RecursionError) as exc:
         raise SchemaViolation(f"{type(exc).__name__}: {exc}", path) from exc
 
 
-def from_json(data: str | bytes, from_dict: Callable[[Mapping[str, Any]], Any], path: str | None = None) -> Any:
+def from_json(data: str | bytes, from_dict: Callable[[Mapping[str, Any]], Any]) -> Any:
     """``from_dict`` of the JSON object ``data`` (str, or bytes in an encoding ``json`` detects).
 
     Text that is not JSON, or bytes that do not decode, is a
     :class:`MalformedDocument` (with line and column for a syntax error);
     nesting deeper than the decoder goes, a number ``json`` cannot
     convert, or a document that is not an object is a
-    :class:`SchemaViolation` at ``path``, and the object then goes
-    through :func:`decode`.
+    :class:`SchemaViolation`, and the object then goes through
+    ``from_dict`` inside :func:`decoding`.
     """
     try:
         obj = json.loads(data)
@@ -556,9 +559,10 @@ def from_json(data: str | bytes, from_dict: Callable[[Mapping[str, Any]], Any], 
     except UnicodeDecodeError as exc:
         raise MalformedDocument(f"JSON text is not valid {exc.encoding}: {exc.reason} at byte {exc.start}") from exc
     except RecursionError:
-        raise SchemaViolation("JSON nested deeper than the decoder goes", path) from None
+        raise SchemaViolation("JSON nested deeper than the decoder goes") from None
     except ValueError as exc:  # an integer literal longer than int() converts
-        raise SchemaViolation(f"ValueError: {exc}", path) from exc
+        raise SchemaViolation(f"ValueError: {exc}") from exc
     if not isinstance(obj, dict):
-        raise SchemaViolation(f"document is a JSON {type(obj).__name__}, not an object", path)
-    return decode(obj, from_dict, path)
+        raise SchemaViolation(f"document is a JSON {type(obj).__name__}, not an object")
+    with decoding():
+        return from_dict(obj)

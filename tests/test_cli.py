@@ -1090,12 +1090,17 @@ JSON_INPUTS = {
     ),
     "scale": (SCALE, "scaler.json", "manifest", "scaler.json: "),
 }
-# fault: (the input's whole text, the error type, the message after the prefix)
+# fault: (the input's bytes, the error type, the message after the prefix)
+TRUNCATED = "JSON syntax error: Expecting ',' delimiter (line 1, column 12)"
 JSON_FAULTS = {
-    "truncated": ('{"id": "d1"', "MalformedDocument", "JSON syntax error: Expecting ',' delimiter (line 1, column 12)"),
-    "array": ("[1, 2]", "SchemaViolation", "document is a JSON list, not an object"),
-    "deep": (DEEP, "SchemaViolation", "JSON nested deeper than the decoder goes"),
-    "empty-object": ("{}", "SchemaViolation", "missing key '{key}'"),
+    "truncated": (b'{"id": "d1"', "MalformedDocument", TRUNCATED),
+    # a UTF-8 byte order mark is read past, a bare "\r" is whitespace, not a line end
+    "bom-truncated": (b'\xef\xbb\xbf{"id": "d1"', "MalformedDocument", TRUNCATED),
+    "cr-truncated": (b'{\r"id": "d1"', "MalformedDocument", TRUNCATED.replace("12", "13")),
+    "not-utf-8": (b"\x80abc", "MalformedDocument", "JSON text is not valid utf-8: invalid start byte at byte 0"),
+    "array": (b"[1, 2]", "SchemaViolation", "document is a JSON list, not an object"),
+    "deep": (DEEP.encode(), "SchemaViolation", "JSON nested deeper than the decoder goes"),
+    "empty-object": (b"{}", "SchemaViolation", "missing key '{key}'"),
 }
 
 
@@ -1103,10 +1108,10 @@ JSON_FAULTS = {
 @pytest.mark.parametrize("fault", list(JSON_FAULTS))
 def test_a_json_fault_fails_alike_in_every_json_input(tmp_path, capsys, pipeline_inputs, fault, stage):
     argv, name, key, prefix = JSON_INPUTS[stage]
-    text, error_type, message = JSON_FAULTS[fault]
+    data, error_type, message = JSON_FAULTS[fault]
     inputs = tmp_path / "inputs"
     shutil.copytree(pipeline_inputs, inputs)
-    (inputs / name).write_text(text)
+    (inputs / name).write_bytes(data)
     out = tmp_path / "out"
     assert main([arg.replace("{i}", str(inputs)) for arg in argv] + ["--out", str(out)]) == 2
     error = _only_error(capsys)
