@@ -410,6 +410,38 @@ def golden_assign_labels(rows, selected: set[int], n: int) -> tuple[np.ndarray, 
     return labels, cluster_ids
 
 
+def golden_export_dendrogram(rows, selected, n: int) -> dict:
+    """``cluster.export_dendrogram`` as it was when it re-derived each
+    node's parent, size, birth and stability from the condensed rows."""
+    size_of: dict[int, int] = {n: n}
+    parent_of: dict[int, int] = {}
+    birth: dict[int, float] = {n: 0.0}
+    for parent, child, lam, child_size in rows:
+        if child >= n:
+            parent_of[child] = parent
+            size_of[child] = child_size
+            birth[child] = lam
+    stability = golden_compute_stability(rows, n)
+    selected = set(selected)
+
+    node_ids = sorted(size_of)
+    nodes = [
+        {
+            "id": cid,
+            "size": size_of[cid],
+            "stability": stability.get(cid, 0.0),
+            "selected": cid in selected,
+        }
+        for cid in node_ids
+    ]
+    edges = [
+        {"parent": parent_of[cid], "child": cid, "lambda": birth[cid]}
+        for cid in node_ids
+        if cid in parent_of
+    ]
+    return {"root": n, "nodes": nodes, "edges": edges}
+
+
 # Frozen copies of ``analysis.adjacency_stats``,
 # ``analysis.interaction_degree_stats`` and
 # ``features._build_feature_table`` as they were before the structure

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import dataclasses
 import functools
+import json
 import math
 import tracemalloc
 
@@ -31,6 +32,7 @@ from oracles import (
     golden_compute_stability,
     golden_condense,
     golden_core_distances,
+    golden_export_dendrogram,
     golden_mutual_reachability_mst,
     golden_select_eom,
     golden_silhouette,
@@ -360,6 +362,9 @@ def _assert_steps_4_to_7_are_golden(X: np.ndarray, min_samples: int, sizes) -> N
         assert got.labels.dtype == labels.dtype and np.array_equal(got.labels, labels), where
         assert _hex_values(got.stabilities) == _hex_values(
             {label: stability[cid] for label, cid in cluster_ids.items()}
+        ), where
+        assert json.dumps(export_dendrogram(got)) == json.dumps(
+            golden_export_dendrogram(condensed, selected, n)
         ), where
 
 
