@@ -319,20 +319,24 @@ def _cmd_scale(args) -> int:
     return EXIT_OK
 
 
-def _parse_sweep(spec: str) -> list[int]:
+def _parse_sweep(spec: str) -> range:
     """``[min_cluster_size=]LO..HI[:STEP]`` -> the sizes LO, LO+STEP, ... <= HI."""
     grid = spec
     if "=" in grid:
         key, _, grid = grid.partition("=")
         if key != "min_cluster_size":
             raise ValueError(f"unknown sweep parameter: {key!r}")
+    malformed = ValueError(f"sweep spec is not [min_cluster_size=]LO..HI[:STEP]: {spec!r}")
     match = re.fullmatch(r"(\d+)\.\.(\d+)(?::(\d+))?", grid)
     if match is None:
-        raise ValueError(f"sweep spec is not [min_cluster_size=]LO..HI[:STEP]: {spec!r}")
-    lo, hi, step = (int(n) for n in match.groups(default="1"))
+        raise malformed
+    try:
+        lo, hi, step = (int(n) for n in match.groups(default="1"))
+    except ValueError:  # a bound with more digits than int() converts
+        raise malformed from None
     if step == 0:
         raise ValueError(f"sweep step must be positive: {spec!r}")
-    sizes = list(range(lo, hi + 1, step))
+    sizes = range(lo, hi + 1, step)
     if not sizes:
         raise ValueError(f"sweep range is empty: {spec!r}")
     return sizes
@@ -345,8 +349,8 @@ def _cmd_cluster(args) -> int:
 
     if args.sweep:
         sizes = _parse_sweep(args.sweep)
-        fp = _fingerprint({"stage": "cluster", "sweep": sizes, "min_samples": args.min_samples})
         rows = cluster.sweep_min_cluster_size(matrix, sizes, min_samples=args.min_samples)
+        fp = _fingerprint({"stage": "cluster", "sweep": list(sizes), "min_samples": args.min_samples})
         with _Outputs(args.out, fp) as out:
             out.write_json("sweep.json", {"settings": rows})
         print(f"swept {len(sizes)} setting(s)")

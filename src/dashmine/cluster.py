@@ -29,7 +29,8 @@ of its nodes at most once.  Condensation emits its rows in the order of
 a breadth-first walk of the whole dendrogram that skips the nodes below
 a shed side, with each shed side's points listed level by level.  That
 order is part of the contract: each stability is a floating-point sum
-over the rows in order, and selection compares those sums.
+over the rows in order, which condensation adds up as it emits the rows,
+and selection compares those sums.
 
 Distances are exact, O(m^2) in the m unique rows: steps 1 and 3 and
 the silhouette measure each distinct row, not each row.  Determinism
@@ -58,6 +59,7 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Sequence
 
 import numpy as np
@@ -95,21 +97,27 @@ class SilhouetteScores:
 class ClusterResult:
     """Flat labels plus the condensed hierarchy they were selected from.
 
-    ``labels`` holds -1 for noise and dense ids 0..K-1 otherwise;
     ``condensed_tree`` rows are (parent, child, lambda, child_size) with
-    point children < n and cluster ids >= n.
+    point children < n and cluster ids >= n.  ``stability`` holds the
+    excess of mass of every cluster id in the tree, and ``selected`` the
+    ids excess-of-mass selection kept, ascending.  ``labels`` holds -1
+    for noise and k for a point of cluster ``selected[k]``.
     """
 
     labels: np.ndarray
-    stabilities: dict[int, float]
     condensed_tree: list[tuple[int, int, float, int]]
+    stability: dict[int, float]
     selected: tuple[int, ...]
-    cluster_ids: dict[int, int]  # label -> condensed-tree cluster id
     n_points: int
 
     @property
     def n_clusters(self) -> int:
         return len(self.selected)
+
+    @cached_property
+    def stabilities(self) -> dict[int, float]:
+        """Stability of each label's cluster, by label."""
+        return {label: self.stability[cid] for label, cid in enumerate(self.selected)}
 
 
 def _as_matrix(matrix: Any) -> np.ndarray:
@@ -397,7 +405,7 @@ def _single_linkage(mst_edges: np.ndarray) -> list[tuple[int, int, float, int]]:
 
 def _condense(
     Z: Sequence[tuple[int, int, float, int]], min_cluster_size: int
-) -> list[tuple[int, int, float, int]]:
+) -> tuple[list[tuple[int, int, float, int]], dict[int, float]]:
     """Collapse the dendrogram into clusters of >= min_cluster_size.
 
     Walking from the root, a split where both sides are big creates two
@@ -407,51 +415,45 @@ def _condense(
 
     Kept nodes go through a FIFO queue and each shed side is listed
     breadth-first, once, which gives the row order the module docstring
-    requires.
+    requires.  Returns the rows (parent, child, lambda, size) and each
+    cluster's stability, its excess of mass: every row adds (lambda -
+    the parent's birth lambda) * size to its parent, in row order.
     """
     n = len(Z) + 1
     next_label = n + 1
     rows: list[tuple[int, int, float, int]] = []
-    queue = deque([(2 * n - 2, n)])  # (dendrogram node, its cluster id)
+    stability: dict[int, float] = {}
+    # (dendrogram node, its cluster id, that cluster's birth lambda)
+    queue = deque([(2 * n - 2, n, 0.0)])
     while queue:
-        node, label = queue.popleft()
+        node, label, birth = queue.popleft()
         left, right, dist, _ = Z[node - n]
         lam = 1.0 / dist if dist > 0.0 else np.inf
+        excess = lam - birth
+        mass = stability.get(label, 0.0)
         left_size = Z[left - n][3] if left >= n else 1
         right_size = Z[right - n][3] if right >= n else 1
 
         if left_size >= min_cluster_size and right_size >= min_cluster_size:
             for child, child_size in ((left, left_size), (right, right_size)):
                 rows.append((label, next_label, lam, child_size))
-                queue.append((child, next_label))
+                mass += excess * child_size
+                queue.append((child, next_label, lam))
                 next_label += 1
-            continue
-        for side, side_size in ((left, left_size), (right, right_size)):
-            if side_size >= min_cluster_size:
-                queue.append((side, label))
-                continue
-            shed = [side]
-            for sub in shed:  # grows as it goes: breadth-first, level by level
-                if sub < n:
-                    rows.append((label, sub, lam, 1))
-                else:
-                    shed += Z[sub - n][:2]
-    return rows
-
-
-def _compute_stability(
-    rows: Sequence[tuple[int, int, float, int]], n: int
-) -> dict[int, float]:
-    """Excess of mass per cluster: sum over members of
-    (lambda at which the member leaves - lambda at cluster birth)."""
-    birth: dict[int, float] = {n: 0.0}
-    for _, child, lam, _ in rows:
-        if child >= n:
-            birth[child] = lam
-    stability: dict[int, float] = {}
-    for parent, _, lam, size in rows:
-        stability[parent] = stability.get(parent, 0.0) + (lam - birth[parent]) * size
-    return stability
+        else:
+            for side, side_size in ((left, left_size), (right, right_size)):
+                if side_size >= min_cluster_size:
+                    queue.append((side, label, birth))
+                    continue
+                shed = [side]
+                for sub in shed:  # grows as it goes: breadth-first, level by level
+                    if sub < n:
+                        rows.append((label, sub, lam, 1))
+                        mass += excess
+                    else:
+                        shed += Z[sub - n][:2]
+        stability[label] = mass
+    return rows, stability
 
 
 def _select_eom(
@@ -494,16 +496,17 @@ def _select_eom(
 
 def _assign_labels(
     rows: Sequence[tuple[int, int, float, int]],
-    selected: set[int],
+    selected: Sequence[int],
     n: int,
-) -> tuple[np.ndarray, dict[int, int]]:
-    """Label each point by the nearest selected cluster above it, or noise.
+) -> np.ndarray:
+    """Label each point by the nearest selected cluster above it, or noise;
+    cluster ``selected[k]`` is label k.
 
     A cluster's row precedes every row below it, since cluster ids grow
     root-first, so one pass resolves each cluster's nearest selected
     ancestor (itself included) before any row that needs it.
     """
-    label_of_cluster = {cid: label for label, cid in enumerate(sorted(selected))}
+    label_of_cluster = {cid: label for label, cid in enumerate(selected)}
     owner = {n: label_of_cluster.get(n, NOISE)}
     labels = [NOISE] * n
     for parent, child, _, _ in rows:
@@ -511,8 +514,7 @@ def _assign_labels(
             labels[child] = owner[parent]
         else:
             owner[child] = label_of_cluster.get(child, owner[parent])
-    cluster_ids = {label: cid for cid, label in label_of_cluster.items()}
-    return np.array(labels, dtype=int), cluster_ids
+    return np.array(labels, dtype=int)
 
 
 def _check_rows(n: int, params: ClusterParams) -> None:
@@ -531,17 +533,13 @@ def _hierarchy(rows: _UniqueRows, min_samples: int) -> list[tuple[int, int, floa
 def _select(Z: Sequence[tuple[int, int, float, int]], min_cluster_size: int) -> ClusterResult:
     """Steps 5-7: condense ``Z`` at ``min_cluster_size`` and label."""
     n = len(Z) + 1
-    rows = _condense(Z, min_cluster_size)
-    stability = _compute_stability(rows, n)
-    selected = _select_eom(rows, stability, n)
-    labels, cluster_ids = _assign_labels(rows, selected, n)
-    stabilities = {label: float(stability[cid]) for label, cid in cluster_ids.items()}
+    rows, stability = _condense(Z, min_cluster_size)
+    selected = tuple(sorted(_select_eom(rows, stability, n)))
     return ClusterResult(
-        labels=labels,
-        stabilities=stabilities,
+        labels=_assign_labels(rows, selected, n),
         condensed_tree=rows,
-        selected=tuple(sorted(selected)),
-        cluster_ids=cluster_ids,
+        stability=stability,
+        selected=selected,
         n_points=n,
     )
 
@@ -621,37 +619,21 @@ def silhouette(matrix: Any, labels: Sequence[int]) -> SilhouetteScores:
 def export_dendrogram(result: ClusterResult) -> dict[str, Any]:
     """Condensed cluster tree as a plot-ready JSON document.
 
-    Nodes are the condensed cluster ids (points excluded), topologically
-    sorted parents-first; each node carries its stability, size and
-    whether excess-of-mass selection kept it.
+    Nodes are the condensed cluster ids (points excluded): the root, then
+    each cluster row's child in row order, which is ascending id order
+    and so parents-first.  Each node carries its size, stability and
+    whether excess-of-mass selection kept it; each edge carries the
+    lambda at which its child was born.
     """
     n = result.n_points
-    size_of: dict[int, int] = {n: n}
-    parent_of: dict[int, int] = {}
-    birth: dict[int, float] = {n: 0.0}
-    for parent, child, lam, child_size in result.condensed_tree:
-        if child >= n:
-            parent_of[child] = parent
-            size_of[child] = child_size
-            birth[child] = lam
-    stability = _compute_stability(result.condensed_tree, n)
     selected = set(result.selected)
-
-    node_ids = sorted(size_of)  # ids increase root-first, so this is topological
+    clusters = [row for row in result.condensed_tree if row[1] >= n]
+    sizes = [(n, n)] + [(child, size) for _, child, _, size in clusters]
     nodes = [
-        {
-            "id": cid,
-            "size": size_of[cid],
-            "stability": stability.get(cid, 0.0),
-            "selected": cid in selected,
-        }
-        for cid in node_ids
+        {"id": cid, "size": size, "stability": result.stability[cid], "selected": cid in selected}
+        for cid, size in sizes
     ]
-    edges = [
-        {"parent": parent_of[cid], "child": cid, "lambda": birth[cid]}
-        for cid in node_ids
-        if cid in parent_of
-    ]
+    edges = [{"parent": parent, "child": child, "lambda": lam} for parent, child, lam, _ in clusters]
     return {"root": n, "nodes": nodes, "edges": edges}
 
 
@@ -665,23 +647,27 @@ def sweep_min_cluster_size(
     ``min_samples`` only, so they are built once per distinct effective
     ``min_samples``: once for the whole sweep when ``min_samples`` is
     given, once per size when it defaults to the size.  Condensation and
-    selection run per size.
+    selection run per size.  Every setting is checked, in order, before
+    any hierarchy is built, so a setting the matrix cannot meet fails
+    without clustering work.
     """
     X = _as_matrix(matrix)
+    settings = []
+    for size in sizes:
+        settings.append(ClusterParams(min_cluster_size=size, min_samples=min_samples))
+        _check_rows(X.shape[0], settings[-1])
     rows = _unique_rows(X)
     hierarchies: dict[int, list[tuple[int, int, float, int]]] = {}
     results = []
-    for size in sizes:
-        params = ClusterParams(min_cluster_size=size, min_samples=min_samples)
-        _check_rows(X.shape[0], params)
+    for params in settings:
         ms = params.effective_min_samples
         if ms not in hierarchies:
             hierarchies[ms] = _hierarchy(rows, ms)
-        outcome = _select(hierarchies[ms], size)
+        outcome = _select(hierarchies[ms], params.min_cluster_size)
         covered = int((outcome.labels != NOISE).sum())
         results.append(
             {
-                "min_cluster_size": int(size),
+                "min_cluster_size": int(params.min_cluster_size),
                 "n_clusters": outcome.n_clusters,
                 "coverage": covered / outcome.labels.shape[0],
             }

@@ -5,6 +5,7 @@ import io
 import json
 import re
 import shutil
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -820,20 +821,43 @@ def test_cluster_sweep(tmp_path):
         "min_cluster_size=40..20", "20..40:-5", "min_cluster_size=20..40:0",
         # not [min_cluster_size=]LO..HI[:STEP] at all
         "5", "a..b", "2..3:x", "min_cluster_size=2", "2..3:", "2...3", "2..3:1:1", "1.5..3",
+        pytest.param("2.." + "9" * 5000, id="5000-digit-HI"),  # more digits than int() converts
     ],
 )
 def test_cluster_sweep_rejects_empty_range_and_bad_step(tmp_path, capsys, spec):
-    matrix = tmp_path / "features_scaled.csv"
-    manifest = default_manifest()
-    width = len(manifest.names)
-    rows = [FeatureVector(f"d{i}", (float(i % 3),) * width) for i in range(30)]
-    matrix.write_text(matrix_to_csv(rows, manifest))
+    matrix = _thirty_row_matrix(tmp_path)
     out = tmp_path / "out"
     assert main(["cluster", "--input", str(matrix), "--sweep", spec, "--out", str(out)]) == 2
     error = json.loads(capsys.readouterr().err.strip().splitlines()[-1])
     assert (error["error"], error["stage"]) == ("ValueError", "cluster")
     assert repr(spec) in error["message"]
     assert not (out / "sweep.json").exists()
+
+
+def _thirty_row_matrix(tmp_path: Path) -> Path:
+    matrix = tmp_path / "features_scaled.csv"
+    manifest = default_manifest()
+    width = len(manifest.names)
+    rows = [FeatureVector(f"d{i}", (float(i % 3),) * width) for i in range(30)]
+    matrix.write_text(matrix_to_csv(rows, manifest))
+    return matrix
+
+
+def test_cluster_sweep_beyond_the_row_count_fails_before_any_work(tmp_path, capsys):
+    matrix = _thirty_row_matrix(tmp_path)
+    out = tmp_path / "out"
+    argv = ["cluster", "--input", str(matrix), "--sweep", "2..2000000", "--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 2
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    error = _only_error(capsys)
+    assert (error["error"], error["message"]) == ("TooFewRows", "30 rows < min_cluster_size=31")
+    assert not out.exists()
+    # The two million sizes as a list would alone take tens of MB.
+    assert peak < 5_000_000
 
 
 def test_cluster_sweep_rejects_an_unknown_parameter(tmp_path, capsys):

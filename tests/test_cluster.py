@@ -354,11 +354,9 @@ def _assert_steps_4_to_7_are_golden(X: np.ndarray, min_samples: int, sizes) -> N
         labels, cluster_ids = golden_assign_labels(condensed, selected, n)
         where = (n, min_samples, size)
         assert _condensed_rows(got.condensed_tree) == _condensed_rows(condensed), where
-        assert _hex_values(cluster._compute_stability(got.condensed_tree, n)) == _hex_values(
-            stability
-        ), where
+        assert _hex_values(got.stability) == _hex_values(stability), where
         assert got.selected == tuple(sorted(selected)), where
-        assert got.cluster_ids == cluster_ids, where
+        assert dict(enumerate(got.selected)) == cluster_ids, where
         assert got.labels.dtype == labels.dtype and np.array_equal(got.labels, labels), where
         assert _hex_values(got.stabilities) == _hex_values(
             {label: stability[cid] for label, cid in cluster_ids.items()}
@@ -439,9 +437,7 @@ def test_stability_dominates_selected_descendants():
     for seed in (10, 11, 12):
         X, _ = blob_matrix(seed, CENTERS_3, per_blob=80, background=30)
         result = hdbscan(X, ClusterParams(min_cluster_size=15))
-        from dashmine.cluster import _compute_stability
-
-        stability = _compute_stability(result.condensed_tree, result.n_points)
+        stability = result.stability
         children_of: dict[int, list[int]] = {}
         for parent, child, _, _ in result.condensed_tree:
             if child >= result.n_points:
